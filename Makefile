@@ -14,8 +14,9 @@ test:
 bench-smoke:
 	cargo bench -p cde-bench --locked -- --test
 
-# Blocking-vs-reactor campaign throughput at 1k/10k probes over real
-# loopback UDP, plus the 1/2/4/8-shard scaling curve; writes
+# Reactor campaign throughput at 1k/10k probes over real loopback UDP,
+# each run right after a raw send_batch/recv_batch wire floor over the
+# same window and resolver, plus the 1/2/4/8-shard scaling curve; writes
 # BENCH_engine.json (probes/sec, p50/p99 latency, per-shard throughput)
 # plus BENCH_engine_metrics.json (final reactor metrics-registry
 # snapshot: engine counters, health gauges, pool/limiter/telemetry).
@@ -63,7 +64,8 @@ forensics-smoke:
 	grep -q ', 0 reply_dropped' target/census_forensics.txt
 
 # Regenerate the engine benchmark and gate on the committed baseline:
-# fails when the reactor-vs-blocking speedup drops more than 25%, the
+# fails when the reactor's throughput over the same-run wire floor
+# (reactor_vs_wire_floor) drops more than 25%, the
 # insight digests-on/off ratio regresses, the pulse-on/pulse-off health
 # sampling ratio regresses, the flight-recorder on/off ratio regresses,
 # per-shard scaling efficiency falls more

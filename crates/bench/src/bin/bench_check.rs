@@ -1,188 +1,137 @@
 //! Bench-regression gate: compares a fresh `BENCH_engine.json` against
-//! the committed baseline and fails when the reactor regresses.
+//! the committed baseline and fails when the engine regresses.
 //!
 //! ```text
-//! bench_check <baseline.json> <fresh.json> [--max-regress 0.25] [--absolute] [--timing-only]
+//! bench_check <baseline.json> <fresh.json> [--max-regress 0.25] [--timing-only]
 //! ```
 //!
-//! The default comparison is the `reactor_vs_blocking` *speedup ratio*
-//! per probe count — both backends run on the same box in the same
-//! process, so the ratio cancels machine speed and is stable enough to
-//! gate in CI. `--absolute` compares raw reactor `probes_per_sec`
-//! instead (useful on pinned hardware). Exit codes: 0 pass, 1 regression
-//! found, 2 unreadable/unparseable input.
+//! Every gated number is a ratio of two runs made in the same process,
+//! so machine speed cancels. [`GATES`] holds one row per gated value:
+//! the report array (`section`) it lives in, its key, the field that
+//! pairs fresh lines with baseline lines, and the [`Rule`] it must meet.
+//! A row is active once the committed baseline carries its section; the
+//! `wire_floor` section (the reactor's throughput over the raw-socket
+//! wire floor) must be present in both reports. The shard-scaling curve
+//! has its own gate ([`gate_scaling`]) because it derives per-shard
+//! efficiency from the curve rather than reading one key.
+//! `--timing-only` runs just the `timing` rows (the dedicated CI lane).
+//! Exit codes: 0 pass, 1 regression found, 2 unreadable/unparseable input.
 //!
-//! The parser is deliberately line-oriented (the workspace carries no
-//! JSON parser): `engine_bench` writes one run object per line.
+//! `engine_bench` writes one object per line; fields are read with
+//! `cde-telemetry`'s flat-object reader.
 
+use cde_telemetry::json::field_f64;
 use std::process::ExitCode;
 
-/// Extracts the number after `"key": ` on `line`, if present.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let at = line.find(&needle)? + needle.len();
-    let tail = &line[at..];
-    let end = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
+/// What a gated value must satisfy against its baseline.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Higher is better: at most `max_regress` below the baseline.
+    Floor,
+    /// Lower is better: at most `2 × max_regress` above the baseline (a
+    /// timing ratio compounds two wall-clock measurements, so it gets
+    /// double the throughput allowance), and never above
+    /// [`MAX_TIMING_RATIO`] whatever the baseline says.
+    Ceiling,
+    /// A 0/1 flag that must read 1 — a faster wrong count is a failure,
+    /// not a win.
+    Exact,
 }
 
-/// `(probes, value)` pairs to gate on, extracted from one report.
-fn extract(json: &str, absolute: bool) -> Vec<(u64, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let value = if absolute {
-            if !line.contains("\"backend\": \"reactor\"") {
-                continue;
-            }
-            field_f64(line, "probes_per_sec")
-        } else {
-            field_f64(line, "reactor_vs_blocking")
-        };
-        if let (Some(value), Some(probes)) = (value, field_f64(line, "probes")) {
-            out.push((probes as u64, value));
-        }
+/// One gated value of the report.
+#[derive(Debug)]
+struct Gate {
+    /// The JSON array the value's lines live in.
+    section: &'static str,
+    /// The gated field.
+    key: &'static str,
+    /// The field pairing a fresh line with its baseline line.
+    by: &'static str,
+    rule: Rule,
+}
+
+const fn gate(section: &'static str, key: &'static str, by: &'static str, rule: Rule) -> Gate {
+    Gate {
+        section,
+        key,
+        by,
+        rule,
     }
-    out
 }
 
-/// `(probes, ratio)` pairs for the insight-overhead gate: throughput
-/// with RTT digests + phase timers on, over the digests-off reactor run.
-/// Absent from reports older than the `"insight"` array.
-fn extract_insight(json: &str) -> Vec<(u64, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            Some((
-                field_f64(line, "probes")? as u64,
-                field_f64(line, "digests_on_vs_off")?,
-            ))
-        })
-        .collect()
-}
-
-/// `(probes, ratio)` pairs for the pulse-overhead gate: throughput with
-/// the health engine's observation path live (exemplar reservoir,
-/// shard-runtime counters, rolling-window sampler) over the pulse-off
-/// reactor run. Absent from reports older than the `"pulse"` array.
-fn extract_pulse(json: &str) -> Vec<(u64, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            Some((
-                field_f64(line, "probes")? as u64,
-                field_f64(line, "pulse_on_vs_off")?,
-            ))
-        })
-        .collect()
-}
-
-/// `(probes, ratio)` pairs for the flight-overhead gate: throughput
-/// with the always-on flight recorder live (one seqlocked lifecycle
-/// record per probe completion) over the flight-off reactor run.
-/// Absent from reports older than the `"flight"` array.
-fn extract_flight(json: &str) -> Vec<(u64, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            Some((
-                field_f64(line, "probes")? as u64,
-                field_f64(line, "flight_on_vs_off")?,
-            ))
-        })
-        .collect()
-}
-
-/// `(shards, aggregate probes_per_sec)` pairs from the shard-scaling
-/// curve. Absent from reports older than the `"scaling"` array.
-fn extract_scaling(json: &str) -> Vec<(u64, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            if !line.contains("\"per_shard_probes_per_sec\"") {
-                return None;
-            }
-            Some((
-                field_f64(line, "shards")? as u64,
-                field_f64(line, "probes_per_sec")?,
-            ))
-        })
-        .collect()
-}
-
-/// One `timing` line: the time-to-exact-count comparison of the
-/// adaptive loop (per-ingress RTO + sequential stopping) against the
-/// static fixed-budget plan, both under the same seeded bursty-loss
-/// recipe. Absent from reports older than the `"timing"` array.
-#[derive(Debug, PartialEq)]
-struct TimingLine {
-    seed: u64,
-    time_ratio: f64,
-    retx_ratio: f64,
-    exact: bool,
-}
-
-fn extract_timing(json: &str) -> Vec<TimingLine> {
-    json.lines()
-        .filter_map(|line| {
-            Some(TimingLine {
-                seed: field_f64(line, "seed")? as u64,
-                time_ratio: field_f64(line, "adaptive_vs_static_time")?,
-                retx_ratio: field_f64(line, "adaptive_vs_static_retransmits")?,
-                exact: field_f64(line, "exact")? == 1.0,
-            })
-        })
-        .collect()
-}
-
-/// Time-to-exact-count gates, active once the committed baseline
-/// carries a `timing` line. Per recipe (matched by seed):
-///
-/// * both runs must have recovered the planted cache count exactly
-///   (`exact` = 1) — a faster wrong count is a failure, not a win;
-/// * the adaptive loop must beat the static plan outright: duration
-///   and retransmit ratios under [`MAX_TIMING_RATIO`];
-/// * neither ratio may rise past the baseline's by more than twice
-///   `max_regress` (a timing ratio compounds two wall-clock
-///   measurements, so it gets double the throughput allowance).
-fn gate_timing(baseline: &str, fresh: &str, max_regress: f64) -> bool {
-    let base = extract_timing(baseline);
-    if base.is_empty() {
-        return false; // pre-adaptive baseline: the timing gates are off
-    }
-    let new = extract_timing(fresh);
-    let mut failed = false;
-    for was in &base {
-        let Some(now) = new.iter().find(|l| l.seed == was.seed) else {
-            eprintln!(
-                "FAIL timing: baseline has seed {} but fresh run lacks it",
-                was.seed
-            );
-            failed = true;
-            continue;
-        };
-        if !now.exact {
-            eprintln!(
-                "FAIL timing: seed {}: a run missed the planted cache count",
-                now.seed
-            );
-            failed = true;
-        }
-        for (name, now_v, was_v) in [
-            ("time", now.time_ratio, was.time_ratio),
-            ("retransmit", now.retx_ratio, was.retx_ratio),
-        ] {
-            let ceiling = (was_v * (1.0 + 2.0 * max_regress)).min(MAX_TIMING_RATIO);
-            let verdict = if now_v > ceiling { "FAIL" } else { "ok  " };
-            eprintln!(
-                "{verdict} timing: seed {} adaptive/static {name} ratio {now_v:.2} vs \
-                 baseline {was_v:.2} (ceiling {ceiling:.2})",
-                now.seed
-            );
-            failed |= now_v > ceiling;
-        }
-    }
-    failed
-}
+/// Every single-key gate. Throughput ratios pair lines by probe count;
+/// the time-to-exact-count recipe pairs them by seed.
+const GATES: &[Gate] = &[
+    gate("wire_floor", "reactor_vs_wire_floor", "probes", Rule::Floor),
+    gate("insight", "digests_on_vs_off", "probes", Rule::Floor),
+    gate("pulse", "pulse_on_vs_off", "probes", Rule::Floor),
+    gate("flight", "flight_on_vs_off", "probes", Rule::Floor),
+    gate("timing", "exact", "seed", Rule::Exact),
+    gate("timing", "adaptive_vs_static_time", "seed", Rule::Ceiling),
+    gate(
+        "timing",
+        "adaptive_vs_static_retransmits",
+        "seed",
+        Rule::Ceiling,
+    ),
+];
 
 /// Hard upper bound on both timing ratios: whatever the baseline says,
 /// the adaptive loop must stay measurably cheaper than the static plan.
 const MAX_TIMING_RATIO: f64 = 0.95;
+
+/// The lines of the report array `"name": [ … ]` (empty if absent or
+/// written inline as `[]`).
+fn section<'a>(json: &'a str, name: &str) -> Vec<&'a str> {
+    let open = format!("\"{name}\": [");
+    let mut lines = json.lines();
+    match lines.find(|line| line.contains(&open)) {
+        Some(line) if line.trim_end().ends_with('[') => lines
+            .take_while(|line| !line.trim_start().starts_with(']'))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// `(by, key)` pairs of one section, e.g. `(probes, ratio)`.
+fn pairs(json: &str, section_name: &str, by: &str, key: &str) -> Vec<(u64, f64)> {
+    section(json, section_name)
+        .into_iter()
+        .filter_map(|line| Some((field_f64(line, by)? as u64, field_f64(line, key)?)))
+        .collect()
+}
+
+/// Holds the fresh values of one gate against the baseline's; prints a
+/// verdict per line and returns whether any failed (or went missing).
+fn check(gate: &Gate, base: &[(u64, f64)], fresh: &[(u64, f64)], max_regress: f64) -> bool {
+    let mut failed = false;
+    for &(at, was) in base {
+        let what = format!("{} {} {at}: {}", gate.section, gate.by, gate.key);
+        let Some(&(_, now)) = fresh.iter().find(|(f, _)| *f == at) else {
+            eprintln!("FAIL {what}: in the baseline but missing from the fresh run");
+            failed = true;
+            continue;
+        };
+        let (ok, bound) = match gate.rule {
+            Rule::Floor => {
+                let floor = was * (1.0 - max_regress);
+                (
+                    now >= floor,
+                    format!("floor {floor:.2} at -{:.0}%", max_regress * 100.0),
+                )
+            }
+            Rule::Ceiling => {
+                let ceiling = (was * (1.0 + 2.0 * max_regress)).min(MAX_TIMING_RATIO);
+                (now <= ceiling, format!("ceiling {ceiling:.2}"))
+            }
+            Rule::Exact => (now == 1.0, "must be 1".to_string()),
+        };
+        let verdict = if ok { "ok  " } else { "FAIL" };
+        eprintln!("{verdict} {what} {now:.2} vs baseline {was:.2} ({bound})");
+        failed |= !ok;
+    }
+    failed
+}
 
 /// The core count `engine_bench` detected when it wrote the report.
 fn detected_parallelism(json: &str) -> Option<u64> {
@@ -204,11 +153,11 @@ fn detected_parallelism(json: &str) -> Option<u64> {
 fn gate_scaling(baseline: &str, fresh: &str) -> bool {
     const MIN_TWO_SHARD_SPEEDUP: f64 = 1.6;
     const MAX_EFFICIENCY_REGRESS: f64 = 0.10;
-    let base = extract_scaling(baseline);
+    let base = pairs(baseline, "scaling", "shards", "probes_per_sec");
     if base.is_empty() {
         return false; // pre-sharding baseline: the scaling gates are off
     }
-    let new = extract_scaling(fresh);
+    let new = pairs(fresh, "scaling", "shards", "probes_per_sec");
     let single = |curve: &[(u64, f64)]| curve.iter().find(|(s, _)| *s == 1).map(|(_, p)| *p);
     let (Some(new_single), Some(base_single)) = (single(&new), single(&base)) else {
         eprintln!("FAIL scaling: baseline has a shard curve but fresh run lacks one");
@@ -254,10 +203,29 @@ fn gate_scaling(baseline: &str, fresh: &str) -> bool {
     failed
 }
 
+/// Runs every active gate (only the `timing` rows with `timing_only`);
+/// returns whether any failed.
+fn run_gates(baseline: &str, fresh: &str, max_regress: f64, timing_only: bool) -> bool {
+    let mut failed = false;
+    for gate in GATES
+        .iter()
+        .filter(|g| !timing_only || g.section == "timing")
+    {
+        let base = pairs(baseline, gate.section, gate.by, gate.key);
+        if !base.is_empty() {
+            let new = pairs(fresh, gate.section, gate.by, gate.key);
+            failed |= check(gate, &base, &new, max_regress);
+        }
+    }
+    if !timing_only {
+        failed |= gate_scaling(baseline, fresh);
+    }
+    failed
+}
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_check <baseline.json> <fresh.json> \
-         [--max-regress 0.25] [--absolute] [--timing-only]"
+        "usage: bench_check <baseline.json> <fresh.json> [--max-regress 0.25] [--timing-only]"
     );
     ExitCode::from(2)
 }
@@ -265,7 +233,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let mut paths: Vec<String> = Vec::new();
     let mut max_regress = 0.25f64;
-    let mut absolute = false;
     let mut timing_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -276,7 +243,6 @@ fn main() -> ExitCode {
                 };
                 max_regress = v;
             }
-            "--absolute" => absolute = true,
             "--timing-only" => timing_only = true,
             _ => paths.push(arg),
         }
@@ -300,108 +266,22 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    // The dedicated timing lane: gate only the time-to-exact-count
-    // section (the fresh report may carry nothing else). Unlike the
-    // baseline-activated pass below, asking for it explicitly with no
-    // timing baseline is an input error, not a silent pass.
-    if timing_only {
-        if extract_timing(&baseline).is_empty() {
-            eprintln!("bench_check: --timing-only but {baseline_path} has no timing lines");
+    // The section the requested pass cannot run without. Unlike the
+    // baseline-activated rows, a missing one is an input error, not a
+    // silent pass.
+    let required = if timing_only { "timing" } else { "wire_floor" };
+    for (path, json) in [(baseline_path, &baseline), (fresh_path, &fresh)] {
+        if section(json, required).is_empty() {
+            eprintln!("bench_check: {path} has no {required} lines");
             return ExitCode::from(2);
         }
-        return if gate_timing(&baseline, &fresh, max_regress) {
-            ExitCode::from(1)
-        } else {
-            ExitCode::SUCCESS
-        };
     }
 
-    let metric = if absolute {
-        "reactor probes/sec"
-    } else {
-        "reactor-vs-blocking speedup"
-    };
-    let base = extract(&baseline, absolute);
-    let new = extract(&fresh, absolute);
-    if base.is_empty() || new.is_empty() {
-        eprintln!("bench_check: no {metric} entries found (baseline {base:?}, fresh {new:?})");
-        return ExitCode::from(2);
-    }
-
-    let mut failed = gate(metric, &base, &new, max_regress);
-
-    // Insight-overhead gate, active only once the committed baseline
-    // records a `digests_on_vs_off` ratio (older baselines skip it).
-    let base_insight = extract_insight(&baseline);
-    if !base_insight.is_empty() {
-        failed |= gate(
-            "insight digests-on/off ratio",
-            &base_insight,
-            &extract_insight(&fresh),
-            max_regress,
-        );
-    }
-
-    // Pulse-overhead gate, likewise active only once the committed
-    // baseline records a `pulse_on_vs_off` ratio.
-    let base_pulse = extract_pulse(&baseline);
-    if !base_pulse.is_empty() {
-        failed |= gate(
-            "pulse on/off ratio",
-            &base_pulse,
-            &extract_pulse(&fresh),
-            max_regress,
-        );
-    }
-
-    // Flight-recorder-overhead gate, likewise active only once the
-    // committed baseline records a `flight_on_vs_off` ratio.
-    let base_flight = extract_flight(&baseline);
-    if !base_flight.is_empty() {
-        failed |= gate(
-            "flight on/off ratio",
-            &base_flight,
-            &extract_flight(&fresh),
-            max_regress,
-        );
-    }
-
-    // Shard-scaling gates (2-shard speedup on multi-core hosts,
-    // per-shard efficiency vs baseline), likewise baseline-activated.
-    failed |= gate_scaling(&baseline, &fresh);
-
-    // Time-to-exact-count gates (exactness, adaptive-beats-static,
-    // ratio regression), likewise baseline-activated.
-    failed |= gate_timing(&baseline, &fresh, max_regress);
-
-    if failed {
+    if run_gates(&baseline, &fresh, max_regress, timing_only) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Compares fresh `(probes, value)` pairs against the baseline's; prints
-/// a verdict per probe count and returns whether any regressed past the
-/// `max_regress` floor (or went missing).
-fn gate(metric: &str, base: &[(u64, f64)], new: &[(u64, f64)], max_regress: f64) -> bool {
-    let mut failed = false;
-    for (probes, was) in base {
-        let Some((_, now)) = new.iter().find(|(p, _)| p == probes) else {
-            eprintln!("FAIL {probes} probes: baseline has {metric} but fresh run lacks it");
-            failed = true;
-            continue;
-        };
-        let floor = was * (1.0 - max_regress);
-        let verdict = if *now < floor { "FAIL" } else { "ok  " };
-        eprintln!(
-            "{verdict} {probes} probes: {metric} {now:.2} vs baseline {was:.2} \
-             (floor {floor:.2} at -{:.0}%)",
-            max_regress * 100.0
-        );
-        failed |= *now < floor;
-    }
-    failed
 }
 
 #[cfg(test)]
@@ -412,14 +292,15 @@ mod tests {
   "seed": 11,
   "available_parallelism": 4,
   "runs": [
-    {"backend": "blocking", "probes": 1000, "probes_per_sec": 13710.8, "latency_p50_us": 312},
+    {"backend": "wire_floor", "probes": 1000, "probes_per_sec": 120000.0, "latency_p50_us": 90},
     {"backend": "reactor", "probes": 1000, "probes_per_sec": 75976.2, "latency_p50_us": 690},
+    {"backend": "wire_floor", "probes": 10000, "probes_per_sec": 130000.0, "latency_p50_us": 95},
     {"backend": "reactor", "probes": 10000, "probes_per_sec": 79818.3, "latency_p50_us": 839},
     {"backend": "reactor_insight", "probes": 10000, "probes_per_sec": 77424.1, "latency_p50_us": 845}
   ],
-  "speedup": [
-    {"probes": 1000, "reactor_vs_blocking": 5.54},
-    {"probes": 10000, "reactor_vs_blocking": 6.05}
+  "wire_floor": [
+    {"probes": 1000, "reactor_vs_wire_floor": 0.63, "pairs": 5, "lowest": 0.55, "highest": 0.70},
+    {"probes": 10000, "reactor_vs_wire_floor": 0.61, "pairs": 5, "lowest": 0.58, "highest": 0.66}
   ],
   "insight": [
     {"probes": 10000, "digests_on_vs_off": 0.97}
@@ -440,100 +321,108 @@ mod tests {
   ]
 }"#;
 
-    #[test]
-    fn extracts_speedup_ratios() {
-        assert_eq!(extract(REPORT, false), vec![(1000, 5.54), (10000, 6.05)]);
+    /// A report with no gated sections at all.
+    const EMPTY: &str = r#"{"wire_floor": []}"#;
+
+    fn row(section: &str, key: &str) -> &'static Gate {
+        GATES
+            .iter()
+            .find(|g| g.section == section && g.key == key)
+            .expect("gate row")
+    }
+
+    fn values(json: &str, gate: &Gate) -> Vec<(u64, f64)> {
+        pairs(json, gate.section, gate.by, gate.key)
     }
 
     #[test]
-    fn extracts_absolute_reactor_throughput() {
+    fn every_row_reads_its_own_section() {
+        let expect = [
+            (
+                "wire_floor",
+                "reactor_vs_wire_floor",
+                vec![(1000, 0.63), (10000, 0.61)],
+            ),
+            ("insight", "digests_on_vs_off", vec![(10000, 0.97)]),
+            ("pulse", "pulse_on_vs_off", vec![(10000, 0.98)]),
+            ("flight", "flight_on_vs_off", vec![(10000, 0.97)]),
+            ("timing", "exact", vec![(17, 1.0)]),
+            ("timing", "adaptive_vs_static_time", vec![(17, 0.20)]),
+            ("timing", "adaptive_vs_static_retransmits", vec![(17, 0.36)]),
+        ];
+        assert_eq!(expect.len(), GATES.len(), "one expectation per row");
+        for (section_name, key, want) in expect {
+            let gate = row(section_name, key);
+            assert_eq!(values(REPORT, gate), want, "{section_name}.{key}");
+            assert!(values(EMPTY, gate).is_empty(), "{section_name}.{key}");
+        }
+    }
+
+    /// `probes_per_sec` appears in `runs` and `scaling`, `seed` at the
+    /// top level and in `timing`: sections keep them apart.
+    #[test]
+    fn sections_do_not_leak_into_each_other() {
         assert_eq!(
-            extract(REPORT, true),
-            vec![(1000, 75976.2), (10000, 79818.3)]
-        );
-    }
-
-    #[test]
-    fn extracts_insight_overhead_ratio() {
-        assert_eq!(extract_insight(REPORT), vec![(10000, 0.97)]);
-        assert!(extract_insight(r#"{"speedup": []}"#).is_empty());
-    }
-
-    #[test]
-    fn insight_lines_do_not_leak_into_speedup_extraction() {
-        assert_eq!(extract(REPORT, false), vec![(1000, 5.54), (10000, 6.05)]);
-    }
-
-    #[test]
-    fn extracts_pulse_overhead_ratio() {
-        assert_eq!(extract_pulse(REPORT), vec![(10000, 0.98)]);
-        assert!(extract_pulse(r#"{"speedup": []}"#).is_empty());
-    }
-
-    /// The pulse ratio gates like any other metric: a fresh run whose
-    /// pulse-on throughput collapses past the regression floor fails.
-    #[test]
-    fn pulse_ratio_regression_fails_the_gate() {
-        assert!(!gate(
-            "pulse on/off ratio",
-            &extract_pulse(REPORT),
-            &extract_pulse(REPORT),
-            0.25
-        ));
-        let regressed = REPORT.replace("\"pulse_on_vs_off\": 0.98", "\"pulse_on_vs_off\": 0.60");
-        assert!(gate(
-            "pulse on/off ratio",
-            &extract_pulse(REPORT),
-            &extract_pulse(&regressed),
-            0.25
-        ));
-    }
-
-    #[test]
-    fn extracts_flight_overhead_ratio() {
-        assert_eq!(extract_flight(REPORT), vec![(10000, 0.97)]);
-        assert!(extract_flight(r#"{"speedup": []}"#).is_empty());
-    }
-
-    /// The flight-recorder ratio gates like pulse and insight: a fresh
-    /// run whose flight-on throughput collapses past the floor fails,
-    /// and a pre-flight baseline (no `"flight"` array) keeps it off.
-    #[test]
-    fn flight_ratio_regression_fails_the_gate() {
-        assert!(!gate(
-            "flight on/off ratio",
-            &extract_flight(REPORT),
-            &extract_flight(REPORT),
-            0.25
-        ));
-        let regressed = REPORT.replace("\"flight_on_vs_off\": 0.97", "\"flight_on_vs_off\": 0.50");
-        assert!(gate(
-            "flight on/off ratio",
-            &extract_flight(REPORT),
-            &extract_flight(&regressed),
-            0.25
-        ));
-    }
-
-    #[test]
-    fn extracts_scaling_curve_and_parallelism() {
-        assert_eq!(
-            extract_scaling(REPORT),
+            pairs(REPORT, "scaling", "shards", "probes_per_sec"),
             vec![(1, 80000.0), (2, 150000.0), (4, 260000.0)]
         );
+        assert_eq!(section(REPORT, "timing").len(), 1);
+        assert_eq!(section(REPORT, "runs").len(), 5);
+        assert!(section(REPORT, "speedup").is_empty());
+        assert!(section(r#"{"insight": []}"#, "insight").is_empty());
         assert_eq!(detected_parallelism(REPORT), Some(4));
-        assert!(extract_scaling(r#"{"speedup": []}"#).is_empty());
     }
 
-    /// `"shards"` on a scaling line must not leak into the run/speedup
-    /// extractors (no `probes_per_sec` confusion across arrays).
     #[test]
-    fn scaling_lines_do_not_leak_into_other_extractors() {
-        assert_eq!(extract(REPORT, false), vec![(1000, 5.54), (10000, 6.05)]);
-        assert_eq!(
-            extract(REPORT, true),
-            vec![(1000, 75976.2), (10000, 79818.3)]
+    fn identical_reports_pass_every_gate() {
+        assert!(!run_gates(REPORT, REPORT, 0.25, false));
+        assert!(!run_gates(REPORT, REPORT, 0.25, true));
+    }
+
+    #[test]
+    fn rows_are_off_without_a_baseline_section() {
+        assert!(!run_gates(EMPTY, REPORT, 0.25, false));
+    }
+
+    /// Each throughput ratio fails once it drops past the floor, and
+    /// only that row fails.
+    #[test]
+    fn floor_rows_fail_past_max_regress() {
+        for (was, regressed) in [
+            (
+                "\"reactor_vs_wire_floor\": 0.61",
+                "\"reactor_vs_wire_floor\": 0.45",
+            ),
+            ("\"digests_on_vs_off\": 0.97", "\"digests_on_vs_off\": 0.70"),
+            ("\"pulse_on_vs_off\": 0.98", "\"pulse_on_vs_off\": 0.60"),
+            ("\"flight_on_vs_off\": 0.97", "\"flight_on_vs_off\": 0.50"),
+        ] {
+            let fresh = REPORT.replace(was, regressed);
+            assert!(run_gates(REPORT, &fresh, 0.25, false), "{regressed}");
+            let key = was.split('"').nth(1).unwrap();
+            let gate = GATES.iter().find(|g| g.key == key).unwrap();
+            assert!(check(
+                gate,
+                &values(REPORT, gate),
+                &values(&fresh, gate),
+                0.25
+            ));
+        }
+        // The same ratio within the allowance passes.
+        let drifted = REPORT.replace(
+            "\"reactor_vs_wire_floor\": 0.61",
+            "\"reactor_vs_wire_floor\": 0.50",
         );
+        assert!(!run_gates(REPORT, &drifted, 0.25, false));
+    }
+
+    #[test]
+    fn floor_rows_fail_when_the_fresh_run_drops_a_line() {
+        let fresh = REPORT.replace(
+            "\"probes\": 1000, \"reactor_vs_wire_floor\"",
+            "\"probes\": 1000, \"x\"",
+        );
+        assert!(run_gates(REPORT, &fresh, 0.25, false));
     }
 
     #[test]
@@ -543,7 +432,7 @@ mod tests {
 
     #[test]
     fn scaling_gate_is_off_without_a_baseline_curve() {
-        assert!(!gate_scaling(r#"{"speedup": []}"#, REPORT));
+        assert!(!gate_scaling(EMPTY, REPORT));
     }
 
     #[test]
@@ -575,39 +464,13 @@ mod tests {
 
     #[test]
     fn scaling_gate_fails_when_fresh_run_drops_the_curve() {
-        assert!(gate_scaling(REPORT, r#"{"speedup": []}"#));
-    }
-
-    #[test]
-    fn extracts_timing_line_but_not_the_top_level_seed() {
-        let lines = extract_timing(REPORT);
-        assert_eq!(
-            lines,
-            vec![TimingLine {
-                seed: 17,
-                time_ratio: 0.20,
-                retx_ratio: 0.36,
-                exact: true,
-            }],
-            "only the timing line carries both ratios"
-        );
-        assert!(extract_timing(r#"{"speedup": []}"#).is_empty());
-    }
-
-    #[test]
-    fn timing_gate_passes_on_identical_reports() {
-        assert!(!gate_timing(REPORT, REPORT, 0.25));
-    }
-
-    #[test]
-    fn timing_gate_is_off_without_a_baseline_line() {
-        assert!(!gate_timing(r#"{"speedup": []}"#, REPORT, 0.25));
+        assert!(gate_scaling(REPORT, EMPTY));
     }
 
     #[test]
     fn timing_gate_fails_when_a_run_misses_the_count() {
         let inexact = REPORT.replace("\"exact\": 1", "\"exact\": 0");
-        assert!(gate_timing(REPORT, &inexact, 0.25));
+        assert!(run_gates(REPORT, &inexact, 0.25, true));
     }
 
     #[test]
@@ -618,7 +481,7 @@ mod tests {
             "\"adaptive_vs_static_time\": 0.20",
             "\"adaptive_vs_static_time\": 0.97",
         );
-        assert!(gate_timing(REPORT, &slow, 10.0));
+        assert!(run_gates(REPORT, &slow, 10.0, true));
     }
 
     #[test]
@@ -628,34 +491,30 @@ mod tests {
             "\"adaptive_vs_static_time\": 0.20",
             "\"adaptive_vs_static_time\": 0.36",
         );
-        assert!(gate_timing(REPORT, &regressed, 0.25));
+        assert!(run_gates(REPORT, &regressed, 0.25, true));
         // The same drift within the allowance passes.
         let drifted = REPORT.replace(
             "\"adaptive_vs_static_time\": 0.20",
             "\"adaptive_vs_static_time\": 0.28",
         );
-        assert!(!gate_timing(REPORT, &drifted, 0.25));
+        assert!(!run_gates(REPORT, &drifted, 0.25, true));
     }
 
     #[test]
     fn timing_gate_fails_when_fresh_run_drops_the_line() {
-        assert!(gate_timing(REPORT, r#"{"speedup": []}"#, 0.25));
+        let fresh = REPORT.replace("\"seed\": 17", "\"seed\": 18");
+        assert!(run_gates(REPORT, &fresh, 0.25, true));
     }
 
+    /// `--timing-only` holds the timing rows alone: a regressed
+    /// throughput ratio does not fail the timing lane.
     #[test]
-    fn timing_lines_do_not_leak_into_other_extractors() {
-        assert_eq!(extract(REPORT, false), vec![(1000, 5.54), (10000, 6.05)]);
-        assert_eq!(
-            extract_scaling(REPORT),
-            vec![(1, 80000.0), (2, 150000.0), (4, 260000.0)]
+    fn timing_only_ignores_the_throughput_rows() {
+        let fresh = REPORT.replace(
+            "\"reactor_vs_wire_floor\": 0.61",
+            "\"reactor_vs_wire_floor\": 0.10",
         );
-        assert_eq!(extract_insight(REPORT), vec![(10000, 0.97)]);
-    }
-
-    #[test]
-    fn parses_terminal_field_before_closing_brace() {
-        assert_eq!(field_f64(r#"{"probes": 7}"#, "probes"), Some(7.0));
-        assert_eq!(field_f64(r#"{"probes": 7, "x": 1}"#, "probes"), Some(7.0));
-        assert_eq!(field_f64(r#"{"x": 1}"#, "probes"), None);
+        assert!(!run_gates(REPORT, &fresh, 0.25, true));
+        assert!(run_gates(REPORT, &fresh, 0.25, false));
     }
 }

@@ -1,16 +1,22 @@
-//! Campaign throughput: blocking worker pool vs. the probe reactor.
+//! Campaign throughput: the probe reactor against the wire floor.
 //!
 //! Launches one loopback resolver (real UDP, simulated cache platform
-//! behind it), then pushes identical probe campaigns through both
-//! engines and writes `BENCH_engine.json`:
+//! behind it), then pushes identical probe campaigns through two loops
+//! and writes `BENCH_engine.json`:
 //!
-//! * **blocking** — [`run_campaign`]: a worker-thread pool, one probe per
-//!   worker in flight, each parked in `recv` for its probe's round trip;
-//! * **reactor** — [`run_campaign_pipelined`]: a single event loop
-//!   multiplexing hundreds of probes over batched syscalls.
+//! * **wire floor** — a bare loop over one non-blocking socket that keeps
+//!   the same window of the same honey queries in flight with
+//!   `cde_sysio::send_batch`/`recv_batch`: no correlation table, timer
+//!   wheel, retries or shard hand-off. It is what this host's sockets and
+//!   this resolver allow at best.
+//! * **reactor** — [`run_campaign_pipelined`]: the single-shard event loop
+//!   every caller uses, with its full per-probe bookkeeping.
 //!
-//! Same sockets, same resolver, same retry policy — the delta is purely
-//! the engine. Usage: `engine_bench [output.json] [--metrics-out metrics.json]`.
+//! Each probe count runs [`FLOOR_PAIRS`] floor/reactor pairs, the floor
+//! immediately before the reactor, in the same process, so
+//! `reactor_vs_wire_floor` cancels machine speed and background load. The
+//! pair with the median ratio is reported, with the range of all pairs.
+//! Usage: `engine_bench [output.json] [--metrics-out metrics.json]`.
 //!
 //! With `--metrics-out`, the final reactor run's metrics registry
 //! (engine counters, reactor health gauges, buffer-pool and telemetry
@@ -25,7 +31,7 @@
 //!
 //! Every run in the report shares one process-wide ephemeral port
 //! range and warm platform state, so execution order is part of the
-//! measurement. The order is fixed — runs/speedup, insight, pulse,
+//! measurement. The order is fixed — runs/wire floor, insight, pulse,
 //! flight, scaling (1→2→4→8 shards, stamped with an explicit `order`),
 //! timing — and the RNG seeds are stamped into the JSON so a re-run is
 //! bit-comparable.
@@ -34,16 +40,20 @@ use cde_core::{
     enumerate_identical, enumerate_sequential, AccessProvider, CdeInfra, EnumerateOptions,
     ProbePlan,
 };
-use cde_engine::scheduler::{run_campaign, run_campaign_pipelined, CampaignOptions, Probe};
+use cde_dns::{Message, Name, Question, RecordType};
+use cde_engine::scheduler::{run_campaign_pipelined, Probe};
 use cde_engine::{
     AdaptiveRtoConfig, CampaignReport, EngineClock, FlightOptions, InsightOptions, LiveTestbed,
     LoopbackResolver, PulseOptions, Reactor, ReactorConfig, ResolverConfig, RetryPolicy, Transport,
-    UdpTransport,
 };
 use cde_faults::FaultPlan;
 use cde_netsim::SimTime;
 use cde_platform::{NameserverNet, PlatformBuilder, SelectorKind};
-use std::net::{Ipv4Addr, SocketAddr};
+use cde_sysio::{recv_batch, send_batch, RecvSlot, SendItem, MAX_BATCH};
+use cde_telemetry::MetricsRegistry;
+use std::collections::HashMap;
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const INGRESS: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -73,6 +83,10 @@ const TIMING_EPSILON: f64 = 0.001;
 /// (~270 small datagrams) — deeper windows overflow it and turn the
 /// measurement into a retransmission bench.
 const REACTOR_WINDOW: usize = 128;
+/// Wire-floor/reactor pairs per probe count. A 1k-probe campaign lasts
+/// about 10 ms, so one scheduler hiccup moves a single pair's ratio by
+/// tens of percent; the median of five does not move with it.
+const FLOOR_PAIRS: usize = 5;
 
 /// Loopback should be lossless, but a loaded burst can still shed the
 /// odd datagram at a socket buffer; a short first timeout keeps any such
@@ -90,7 +104,6 @@ fn bench_policy() -> RetryPolicy {
 struct RunStats {
     backend: &'static str,
     probes: usize,
-    threads: usize,
     shards: usize,
     elapsed: Duration,
     answered: usize,
@@ -107,14 +120,13 @@ impl RunStats {
     fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"backend\": \"{}\", \"probes\": {}, \"threads\": {}, \"shards\": {}, ",
+                "{{\"backend\": \"{}\", \"probes\": {}, \"shards\": {}, ",
                 "\"elapsed_s\": {:.4}, \"probes_per_sec\": {:.1}, ",
                 "\"answered\": {}, \"retries\": {}, ",
                 "\"latency_p50_us\": {}, \"latency_p99_us\": {}}}"
             ),
             self.backend,
             self.probes,
-            self.threads,
             self.shards,
             self.elapsed.as_secs_f64(),
             self.probes_per_sec(),
@@ -126,9 +138,16 @@ impl RunStats {
     }
 }
 
+/// Nearest-rank percentile of sorted microsecond latencies (0 if empty).
+fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((sorted.len() as f64 * p) as usize).min(sorted.len() - 1)]
+}
+
 fn stats(
     backend: &'static str,
-    threads: usize,
     shards: usize,
     probes: usize,
     elapsed: Duration,
@@ -143,27 +162,134 @@ fn stats(
         })
         .collect();
     latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 * p) as usize).min(latencies.len() - 1);
-        latencies[idx]
-    };
     RunStats {
         backend,
         probes,
-        threads,
         shards,
         elapsed,
         answered: report.answered(),
         retries: report.retries,
-        p50_us: percentile(0.50),
-        p99_us: percentile(0.99),
+        p50_us: percentile(&latencies, 0.50),
+        p99_us: percentile(&latencies, 0.99),
     }
 }
 
-fn probe_batch(honey: &cde_dns::Name, count: usize) -> Vec<Probe> {
+/// The wire floor: `count` honey queries through one non-blocking
+/// socket, [`REACTOR_WINDOW`] in flight, batched syscalls and nothing
+/// else. Queries are encoded before the clock starts and replies are
+/// matched by query id alone. The floor never retransmits: if nothing
+/// arrives for one `bench_policy` timeout, whatever is still in flight
+/// counts as lost and the run moves on.
+fn wire_floor_run(target: SocketAddr, honey: &Name, count: usize) -> RunStats {
+    let SocketAddr::V4(dest) = target else {
+        panic!("the loopback resolver binds IPv4");
+    };
+    let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("wire-floor socket");
+    socket.set_nonblocking(true).expect("non-blocking socket");
+    let queries: Vec<Vec<u8>> = (0..count)
+        .map(|i| {
+            let id = u16::try_from(i).expect("query ids fit the probe count");
+            Message::query(id, Question::new(honey.clone(), RecordType::A))
+                .encode()
+                .expect("encode honey query")
+        })
+        .collect();
+    let mut sent_at: Vec<Option<Instant>> = vec![None; count];
+    let mut slots: Vec<RecvSlot> = (0..MAX_BATCH).map(|_| RecvSlot::new()).collect();
+    let mut latencies: Vec<u64> = Vec::with_capacity(count);
+    let (mut next, mut in_flight, mut lost) = (0usize, 0usize, 0usize);
+    let start = Instant::now();
+    let mut last_reply = start;
+    while latencies.len() + lost < count {
+        while in_flight < REACTOR_WINDOW && next < count {
+            let n = (REACTOR_WINDOW - in_flight).min(count - next);
+            let items: Vec<SendItem<'_>> = queries[next..next + n]
+                .iter()
+                .map(|payload| SendItem { payload, dest })
+                .collect();
+            let sent = send_batch(&socket, &items).expect("send_batch");
+            if sent == 0 {
+                break;
+            }
+            let now = Instant::now();
+            sent_at[next..next + sent].fill(Some(now));
+            next += sent;
+            in_flight += sent;
+        }
+        let got = recv_batch(&socket, &mut slots).expect("recv_batch");
+        let now = Instant::now();
+        for slot in &slots[..got] {
+            let &[hi, lo, ..] = slot.bytes() else {
+                continue;
+            };
+            let id = usize::from(u16::from_be_bytes([hi, lo]));
+            if let Some(at) = sent_at.get_mut(id).and_then(Option::take) {
+                latencies.push(now.duration_since(at).as_micros() as u64);
+                in_flight -= 1;
+                last_reply = now;
+            }
+        }
+        if got == 0 {
+            if now.duration_since(last_reply) > bench_policy().timeout {
+                lost += in_flight;
+                in_flight = 0;
+                sent_at[..next].fill(None);
+                last_reply = now;
+            }
+            std::thread::yield_now();
+        }
+    }
+    let elapsed = start.elapsed();
+    latencies.sort_unstable();
+    RunStats {
+        backend: "wire_floor",
+        probes: count,
+        shards: 0,
+        elapsed,
+        answered: latencies.len(),
+        retries: 0,
+        p50_us: percentile(&latencies, 0.50),
+        p99_us: percentile(&latencies, 0.99),
+    }
+}
+
+/// One single-shard reactor campaign of `count` honey probes on a fresh
+/// reactor (and a fresh registry, so `--metrics-out` reflects the last
+/// run). Pinned to one shard: this series is the single-core baseline
+/// the scaling curve is measured against.
+fn reactor_run(
+    addrs: &HashMap<Ipv4Addr, SocketAddr>,
+    honey: &Name,
+    count: usize,
+) -> (RunStats, Arc<MetricsRegistry>) {
+    let registry = MetricsRegistry::new();
+    let reactor = Reactor::launch(
+        addrs.clone(),
+        ReactorConfig {
+            shards: 1,
+            registry: Some(Arc::clone(&registry)),
+            ..ReactorConfig::with_policy(bench_policy(), BENCH_SEED)
+        },
+    )
+    .expect("reactor");
+    let start = Instant::now();
+    let report = run_campaign_pipelined(&reactor, probe_batch(honey, count), REACTOR_WINDOW);
+    (
+        stats("reactor", 1, count, start.elapsed(), &report),
+        registry,
+    )
+}
+
+/// The reactor-over-wire-floor ratio at one probe count: the median of
+/// [`FLOOR_PAIRS`] pairs and the range they spanned.
+struct FloorRatio {
+    probes: usize,
+    median: f64,
+    lowest: f64,
+    highest: f64,
+}
+
+fn probe_batch(honey: &Name, count: usize) -> Vec<Probe> {
     (0..count)
         .map(|_| Probe::a(INGRESS, honey.clone()))
         .collect()
@@ -370,74 +496,58 @@ fn main() {
         run_campaign_pipelined(&reactor, probe_batch(&session.honey, 2_000), REACTOR_WINDOW);
     }
 
-    let blocking_opts = CampaignOptions::default();
+    let target = *addrs.get(&INGRESS).expect("throughput ingress");
     let mut runs: Vec<RunStats> = Vec::new();
-    let mut speedups: Vec<(usize, f64)> = Vec::new();
+    let mut floor_ratios: Vec<FloorRatio> = Vec::new();
     let mut insight_ratios: Vec<(usize, f64)> = Vec::new();
     let mut pulse_ratios: Vec<(usize, f64)> = Vec::new();
     let mut flight_ratios: Vec<(usize, f64)> = Vec::new();
-    let mut last_registry: Option<std::sync::Arc<cde_telemetry::MetricsRegistry>> = None;
+    let mut last_registry: Option<Arc<MetricsRegistry>> = None;
 
     for count in [1_000usize, 10_000] {
-        // Blocking worker pool.
-        let opts = blocking_opts.clone();
-        let addrs_for_worker: std::collections::HashMap<Ipv4Addr, SocketAddr> = addrs.clone();
-        let start = Instant::now();
-        let report = run_campaign(
-            move |_worker| {
-                UdpTransport::direct(
-                    addrs_for_worker.clone(),
-                    NameserverNet::new(),
-                    bench_policy(),
-                    BENCH_SEED,
-                )
-                .expect("blocking transport")
-            },
-            probe_batch(&session.honey, count),
-            &opts,
-        );
-        let blocking = stats("blocking", opts.workers, 1, count, start.elapsed(), &report);
+        // Floor/reactor pairs, each floor right before the reactor run it
+        // normalises. The pair with the median ratio is the one reported;
+        // the range of all pairs is recorded next to it.
+        let mut pairs: Vec<(f64, RunStats, RunStats)> = (0..FLOOR_PAIRS)
+            .map(|_| {
+                let floor = wire_floor_run(target, &session.honey, count);
+                let (reactor_stats, registry) = reactor_run(&addrs, &session.honey, count);
+                last_registry = Some(registry);
+                let ratio = reactor_stats.probes_per_sec() / floor.probes_per_sec();
+                (ratio, floor, reactor_stats)
+            })
+            .collect();
+        // The on/off ratios below divide by the median reactor throughput
+        // of the pairs, so one lucky-fast reactor run cannot sink them.
+        let mut reactor_pps: Vec<f64> = pairs.iter().map(|p| p.2.probes_per_sec()).collect();
+        reactor_pps.sort_by(f64::total_cmp);
+        let reactor_pps = reactor_pps[reactor_pps.len() / 2];
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (lowest, highest) = (pairs[0].0, pairs[pairs.len() - 1].0);
+        let (ratio, floor, reactor_stats) = pairs.swap_remove(pairs.len() / 2);
+        for run in [&floor, &reactor_stats] {
+            eprintln!(
+                "{:<10}{:>6} probes  {:>10.0} probes/s  p50 {:>6} us  p99 {:>6} us  answered {}",
+                run.backend,
+                count,
+                run.probes_per_sec(),
+                run.p50_us,
+                run.p99_us,
+                run.answered,
+            );
+        }
         eprintln!(
-            "blocking  {:>6} probes  {:>10.0} probes/s  p50 {:>6} us  p99 {:>6} us",
-            count,
-            blocking.probes_per_sec(),
-            blocking.p50_us,
-            blocking.p99_us
+            "          {count:>6} probes  reactor / wire floor {ratio:.2}x \
+             (median of {FLOOR_PAIRS} pairs, range {lowest:.2}-{highest:.2})"
         );
+        floor_ratios.push(FloorRatio {
+            probes: count,
+            median: ratio,
+            lowest,
+            highest,
+        });
 
-        // Reactor (fresh per run so its metrics are this run's; a fresh
-        // registry likewise, so `--metrics-out` reflects the last run).
-        // Pinned to one shard: this series is the single-core baseline
-        // the scaling curve below is measured against.
-        let registry = cde_telemetry::MetricsRegistry::new();
-        let reactor = Reactor::launch(
-            addrs.clone(),
-            ReactorConfig {
-                shards: 1,
-                registry: Some(std::sync::Arc::clone(&registry)),
-                ..ReactorConfig::with_policy(bench_policy(), BENCH_SEED)
-            },
-        )
-        .expect("reactor");
-        last_registry = Some(registry);
-        let start = Instant::now();
-        let report =
-            run_campaign_pipelined(&reactor, probe_batch(&session.honey, count), REACTOR_WINDOW);
-        let reactor_stats = stats("reactor", 1, 1, count, start.elapsed(), &report);
-        eprintln!(
-            "reactor   {:>6} probes  {:>10.0} probes/s  p50 {:>6} us  p99 {:>6} us",
-            count,
-            reactor_stats.probes_per_sec(),
-            reactor_stats.p50_us,
-            reactor_stats.p99_us
-        );
-
-        let speedup = reactor_stats.probes_per_sec() / blocking.probes_per_sec();
-        eprintln!("          {count:>6} probes  reactor speedup {speedup:.2}x");
-        speedups.push((count, speedup));
-
-        let reactor_pps = reactor_stats.probes_per_sec();
-        runs.push(blocking);
+        runs.push(floor);
         runs.push(reactor_stats);
 
         // Insight capture overhead: the same reactor campaign with RTT
@@ -460,7 +570,7 @@ fn main() {
                 probe_batch(&session.honey, count),
                 REACTOR_WINDOW,
             );
-            let insight_stats = stats("reactor_insight", 1, 1, count, start.elapsed(), &report);
+            let insight_stats = stats("reactor_insight", 1, count, start.elapsed(), &report);
             let ratio = insight_stats.probes_per_sec() / reactor_pps;
             eprintln!(
                 "insight   {:>6} probes  {:>10.0} probes/s  digests on/off {ratio:.2}x",
@@ -520,7 +630,7 @@ fn main() {
                 probe_batch(&session.honey, count),
                 REACTOR_WINDOW,
             );
-            let pulse_stats = stats("reactor_pulse", 1, 1, count, start.elapsed(), &report);
+            let pulse_stats = stats("reactor_pulse", 1, count, start.elapsed(), &report);
             stop.store(true, std::sync::atomic::Ordering::SeqCst);
             sampler.join().expect("pulse sampler");
             let ratio = pulse_stats.probes_per_sec() / reactor_pps;
@@ -554,7 +664,7 @@ fn main() {
                 probe_batch(&session.honey, count),
                 REACTOR_WINDOW,
             );
-            let flight_stats = stats("reactor_flight", 1, 1, count, start.elapsed(), &report);
+            let flight_stats = stats("reactor_flight", 1, count, start.elapsed(), &report);
             let ratio = flight_stats.probes_per_sec() / reactor_pps;
             eprintln!(
                 "flight    {:>6} probes  {:>10.0} probes/s  flight on/off {ratio:.2}x",
@@ -652,9 +762,15 @@ fn main() {
         .iter()
         .map(|r| format!("    {}", r.to_json()))
         .collect();
-    let speedups_json: Vec<String> = speedups
+    let floor_json: Vec<String> = floor_ratios
         .iter()
-        .map(|(count, s)| format!("    {{\"probes\": {count}, \"reactor_vs_blocking\": {s:.2}}}"))
+        .map(|r| {
+            format!(
+                "    {{\"probes\": {}, \"reactor_vs_wire_floor\": {:.2}, \"pairs\": {FLOOR_PAIRS}, \
+                 \"lowest\": {:.2}, \"highest\": {:.2}}}",
+                r.probes, r.median, r.lowest, r.highest
+            )
+        })
         .collect();
     let insight_json: Vec<String> = insight_ratios
         .iter()
@@ -681,16 +797,16 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"engine_campaign_throughput\",\n  \
-         \"description\": \"loopback probe campaigns, blocking worker pool vs event-driven reactor\",\n  \
+         \"description\": \"loopback probe campaigns, event-driven reactor vs a raw send_batch/recv_batch wire floor\",\n  \
          \"seed\": {},\n  \"available_parallelism\": {},\n  \"reactor_window\": {},\n  \
-         \"runs\": [\n{}\n  ],\n  \"speedup\": [\n{}\n  ],\n  \"insight\": [\n{}\n  ],\n  \
+         \"runs\": [\n{}\n  ],\n  \"wire_floor\": [\n{}\n  ],\n  \"insight\": [\n{}\n  ],\n  \
          \"pulse\": [\n{}\n  ],\n  \"flight\": [\n{}\n  ],\n  \"scaling\": [\n{}\n  ],\n  \
          \"timing\": [\n{}\n  ]\n}}\n",
         BENCH_SEED,
         std::thread::available_parallelism().map_or(0, usize::from),
         REACTOR_WINDOW,
         runs_json.join(",\n"),
-        speedups_json.join(",\n"),
+        floor_json.join(",\n"),
         insight_json.join(",\n"),
         pulse_json.join(",\n"),
         flight_json.join(",\n"),

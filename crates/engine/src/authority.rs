@@ -283,8 +283,8 @@ fn serve(
 ) {
     let mut buf = [0u8; MAX_DATAGRAM];
     while !shutdown.load(Ordering::SeqCst) {
-        // Zone edits first, so a snapshot pushed before a probe is always
-        // visible to that probe.
+        // Apply snapshots while idle too, so pushes with no probe behind
+        // them do not pile up in the channel.
         while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
             server = snapshot;
         }
@@ -297,6 +297,13 @@ fn serve(
             }
             Err(_) => continue,
         };
+        // Again once the datagram lands: a client pushes its snapshot
+        // before it sends the probe, so every snapshot pushed before this
+        // datagram is queued by now — including one that arrived while
+        // the thread sat in `recv_from`.
+        while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
+            server = snapshot;
+        }
         // Untrusted bytes: decode errors are dropped, never panic (the
         // hardened `cde_dns::wire` path is load-bearing here).
         let Ok(query) = Message::decode(&buf[..len]) else {
@@ -435,6 +442,39 @@ mod tests {
         let resp = ask(addr, 3, &honey).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert_eq!(resp.answers.len(), 1);
+    }
+
+    #[test]
+    fn every_query_sees_the_snapshot_pushed_before_it() {
+        // Each round plants a fresh record, pushes the snapshot, then
+        // asks for it at once. Between rounds the serving thread is
+        // parked in `recv_from`, so a server that only drains its control
+        // channel before blocking answers from the stale zone.
+        let mut net = test_net();
+        let authority = WireAuthority::launch(&net, EngineClock::start()).unwrap();
+        let vaddr = Ipv4Addr::new(10, 0, 0, 20);
+        let addr = authority.addr_of(vaddr).unwrap();
+        let syncer = authority.syncer();
+        for round in 0..200u16 {
+            let honey = n(&format!("honey-{round}.cache.example"));
+            net.server_mut(vaddr)
+                .unwrap()
+                .zone_mut(&n("cache.example"))
+                .unwrap()
+                .add(Record::new(
+                    honey.clone(),
+                    Ttl::from_secs(60),
+                    RData::A(Ipv4Addr::new(198, 51, 100, 9)),
+                ))
+                .unwrap();
+            syncer.sync(&net);
+            let resp = ask(addr, round, &honey).unwrap();
+            assert_eq!(
+                resp.flags.rcode,
+                Rcode::NoError,
+                "round {round} was answered from a stale zone"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! one block per reactor shard and presents them as a single engine:
 //! every read-side method (`snapshot`, the `Collector` impl) merges the
 //! blocks, while the write-side methods delegate to block 0 so code
-//! that treats the engine as one counter set (the blocking transport,
-//! the scheduler) keeps working unchanged. A sharded reactor instead
+//! that treats the engine as one counter set (`SimTransport`,
+//! `FaultyTransport`) keeps working unchanged. A sharded reactor instead
 //! grabs `shard(i)` once at launch and records into its own block with
 //! zero cross-core contention.
 //!
@@ -33,7 +33,7 @@ const BASE_US: u64 = 16;
 const BATCH_BUCKETS: usize = 8;
 
 /// Shared atomic counters for one engine shard (or a whole unsharded
-/// engine — a transport worker pool is "shard 0" of a 1-block engine).
+/// engine — a simulated transport is "shard 0" of a 1-block engine).
 ///
 /// All methods take `&self`; the struct is designed to sit behind an
 /// `Arc` and be hammered from worker threads. `snapshot()` produces a

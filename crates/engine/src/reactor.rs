@@ -1,10 +1,10 @@
 //! The probe reactor: thousands of probes in flight, one shard per core.
 //!
-//! [`UdpTransport`](crate::udp::UdpTransport) is lockstep-blocking — each
-//! worker parks in `recv` until reply-or-deadline, so aggregate throughput
-//! is `workers / RTT` no matter what the network could absorb. The
-//! [`Reactor`] replaces that with readiness-driven event loops over
-//! non-blocking sockets; since one loop saturates around a single core's
+//! The [`Reactor`] is the engine's one probe-execution path. A probe
+//! that parked a thread in `recv` until reply-or-deadline would cap
+//! throughput at `threads / RTT` no matter what the network could absorb;
+//! instead, readiness-driven event loops multiplex probes over
+//! non-blocking sockets. Since one loop saturates around a single core's
 //! syscall and correlation budget, the reactor runs **N independent
 //! shards** (default: one per core) and partitions probes across them:
 //!
@@ -34,19 +34,18 @@
 //! injector's decision stream is stateful and must observe datagrams in
 //! one deterministic transmission order for replays to be exact.
 
-use crate::authority::WireAuthority;
+use crate::authority::{AuthoritySync, Observation, WireAuthority};
 use crate::bufpool::BufferPool;
 use crate::flight::{FlightOptions, FlightRecorder};
 use crate::metrics::EngineMetrics;
 use crate::ratelimit::RateLimiter;
-use crate::resolver::LoopbackResolver;
+use crate::resolver::{LoopbackResolver, ResolverSync};
 use crate::retry::RetryPolicy;
 use crate::rto::RtoTable;
 pub use crate::shard::shard_for_target;
 use crate::shard::{empty_slots, FaultLayer, ShardLoop, ShardWaker, Submission};
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, TransportReply};
-use crate::udp::SyncLink;
 use cde_core::AccessProvider;
 use cde_dns::wire::WireWriter;
 use cde_dns::{Name, RecordType};
@@ -669,6 +668,43 @@ impl std::fmt::Debug for ShardedReactor {
     }
 }
 
+/// Back-channel from a [`ReactorTransport`] to the serving side of a
+/// live deployment: zone snapshots go out, observed queries come back.
+struct SyncLink {
+    resolver: ResolverSync,
+    authority: Option<AuthoritySync>,
+    observations: Receiver<Observation>,
+}
+
+impl SyncLink {
+    /// Wires a back-channel to a launched resolver (and optionally the
+    /// authority behind it).
+    fn connect(resolver: &LoopbackResolver, authority: Option<&WireAuthority>) -> SyncLink {
+        SyncLink {
+            resolver: resolver.syncer(),
+            authority: authority.map(WireAuthority::syncer),
+            observations: resolver.observations(),
+        }
+    }
+
+    /// Pushes zone snapshots to the serving side.
+    fn push(&self, net: &NameserverNet) {
+        self.resolver.sync(net);
+        if let Some(authority) = &self.authority {
+            authority.sync(net);
+        }
+    }
+
+    /// Folds queries observed at the serving side into the canonical net.
+    fn drain_into(&self, net: &mut NameserverNet) {
+        for (vaddr, entry) in self.observations.try_iter() {
+            if let Some(server) = net.server_mut(vaddr) {
+                server.record_query(entry);
+            }
+        }
+    }
+}
+
 /// The one-shot blocking seam over a [`Reactor`]: a [`Transport`], so
 /// `cde-core`'s algorithms (and [`EngineAccess`](crate::EngineAccess))
 /// run on the reactor unchanged.
@@ -684,8 +720,11 @@ pub struct ReactorTransport {
 
 impl ReactorTransport {
     /// Wires a reactor-backed transport to a launched resolver (and
-    /// optionally the authority behind it), mirroring
-    /// [`UdpTransport::connect`](crate::udp::UdpTransport::connect).
+    /// optionally the authority behind it). The transport owns the
+    /// canonical `net`: edits made through [`Transport::net_mut`] are
+    /// pushed to the serving side before the next probe, and queries
+    /// observed there are folded back after each probe, so `cde-core`'s
+    /// honey counting reads exactly what it reads in the simulator.
     pub fn connect(
         resolver: &LoopbackResolver,
         authority: Option<&WireAuthority>,

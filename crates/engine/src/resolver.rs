@@ -256,8 +256,8 @@ fn run(
     });
     let mut buf = [0u8; MAX_DATAGRAM];
     while !shutdown.load(Ordering::SeqCst) {
-        // Zone edits first, so a snapshot pushed before a probe arrives is
-        // always visible to that probe's resolution.
+        // Apply snapshots while idle too, so pushes with no probe behind
+        // them do not pile up in the channel.
         while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
             net = snapshot;
         }
@@ -271,6 +271,13 @@ fn run(
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(_) => break,
                 };
+                // Again once each datagram lands: a client pushes its
+                // snapshot before it sends the probe, so every snapshot
+                // pushed before this datagram is queued by now, even one
+                // that arrived after the drain above.
+                while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
+                    net = snapshot;
+                }
                 idle = false;
                 handle_datagram(
                     &mut platform,
@@ -483,5 +490,41 @@ mod tests {
         resolver.syncer().sync(&net);
         let resp = ask(addr, 11, &session.honey).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NoError);
+    }
+
+    #[test]
+    fn every_query_sees_the_snapshot_pushed_before_it() {
+        // Each round opens a fresh session (a new honey record), pushes
+        // the snapshot, then resolves the honey name at once. A query
+        // that lands after the loop's idle drain but before the next one
+        // must still resolve against the pushed zone.
+        let mut net = NameserverNet::new();
+        let mut infra = cde_core::CdeInfra::install(&mut net);
+        let ingress = Ipv4Addr::new(192, 0, 2, 1);
+        let platform = PlatformBuilder::new(29)
+            .ingress(vec![ingress])
+            .egress(vec![Ipv4Addr::new(192, 0, 3, 1)])
+            .cluster(1, SelectorKind::Random)
+            .build();
+        let resolver = LoopbackResolver::launch(
+            platform,
+            net.clone(),
+            None,
+            ResolverConfig::default(),
+            EngineClock::start(),
+        )
+        .unwrap();
+        let addr = resolver.addr_of(ingress).unwrap();
+        let syncer = resolver.syncer();
+        for round in 0..200u16 {
+            let session = infra.new_session(&mut net, 0);
+            syncer.sync(&net);
+            let resp = ask(addr, round, &session.honey).unwrap();
+            assert_eq!(
+                resp.flags.rcode,
+                Rcode::NoError,
+                "round {round} was resolved against a stale zone"
+            );
+        }
     }
 }

@@ -24,8 +24,7 @@
 //! evidence: if any attempt's query reached the serving chain the
 //! cache is warm, no matter how many earlier attempts died outbound.
 
-use crate::trace::{field_str, field_u64};
-use cde_telemetry::json;
+use cde_telemetry::json::{self, field_str, field_u64};
 use std::fmt::Write as _;
 
 /// One parsed `flight_record` line.

@@ -9,8 +9,8 @@
 //! same [`SloSpec`] defaults the daemon uses apply, so an offline trace
 //! and the live endpoint agree on what "unhealthy" means.
 
-use crate::trace::{field_str, field_u64};
 use cde_pulse::{evaluate, CounterSample, HealthStatus, HealthVerdict, SloSpec};
+use cde_telemetry::json::{field_str, field_u64};
 
 /// One point on the replayed verdict timeline.
 #[derive(Debug)]

@@ -13,47 +13,14 @@
 //! at that instant — exact for the sequential campaigns the toolkit
 //! runs, and conservative (events stay unattributed) outside any span.
 //!
-//! The parser is deliberately line-oriented field extraction, not a
-//! JSON parser: the workspace is offline and vendors no JSON
-//! dependency, and the exporter writes one flat object per line with
-//! `"key": value` spacing (pinned by `cde-telemetry`'s own tests).
+//! Fields are read with `cde-telemetry`'s flat-object reader
+//! ([`cde_telemetry::json`]), the same one the bench gate uses.
 
 use crate::bimodal::{split_modes, ModeSplit};
 use crate::scorecard::Scorecard;
 use cde_analysis::stats::Cdf;
-use cde_telemetry::json;
+use cde_telemetry::json::{self, field_bool, field_str, field_u64};
 use std::fmt::Write as _;
-
-/// Extracts the number after `"key": ` on `line`, if present.
-pub(crate) fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = line.find(&needle)? + needle.len();
-    let tail = &line[at..];
-    let end = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
-}
-
-/// Extracts the string after `"key": "` on `line`, if present.
-pub(crate) fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let at = line.find(&needle)? + needle.len();
-    let tail = &line[at..];
-    Some(&tail[..tail.find('"')?])
-}
-
-/// Extracts the boolean after `"key": ` on `line`, if present.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\": ");
-    let at = line.find(&needle)? + needle.len();
-    let tail = &line[at..];
-    if tail.starts_with("true") {
-        Some(true)
-    } else if tail.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
 
 /// Everything the analyzer reconstructs for one campaign span.
 #[derive(Debug, Clone, Default)]

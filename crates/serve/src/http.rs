@@ -427,6 +427,9 @@ fn handle_submit(body: &str, manager: &Arc<CampaignManager>) -> Response {
     if let Some(every) = body_u64(body, "checkpoint_every") {
         spec.checkpoint_every = every;
     }
+    if let Some(epsilon) = body_f64(body, "sequential_epsilon") {
+        spec.sequential_epsilon = epsilon;
+    }
     match manager.submit(spec) {
         Ok(id) => Response::json(200, format!("{{\"id\": \"{id}\"}}")),
         Err(err) => Response::json(400, format!("{{\"error\": \"{err}\"}}")),

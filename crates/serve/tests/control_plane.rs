@@ -234,3 +234,63 @@ fn control_plane_drives_weighted_tenants_end_to_end() {
         .expect("daemon thread")
         .expect("graceful shutdown must drain the reactor");
 }
+
+/// `sequential_epsilon` in a submit body reaches the campaign: a level
+/// in `[0, 1)` runs the sequential stopping rule (the campaign ends at
+/// the exact count with budget left over), and one outside it is a 400.
+#[test]
+fn submit_carries_sequential_epsilon() {
+    let daemon = Daemon::start(DaemonConfig {
+        checkpoint_dir: fresh_dir("seq"),
+        caches: 4,
+        seed: 2323,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.addr();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/campaigns",
+        "{\"tenant\": \"seq\", \"sequential_epsilon\": 1.5}",
+    );
+    assert_eq!(status, 400, "an epsilon outside [0, 1) must bounce: {body}");
+    assert!(body.contains("sequential_epsilon"), "{body}");
+
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/campaigns",
+        "{\"tenant\": \"seq\", \"label\": \"early-stop\", \"caches_hint\": 4, \
+         \"farm_size\": 256, \"redundancy\": 1, \"window\": 8, \
+         \"checkpoint_every\": 4, \"sequential_epsilon\": 0.001}",
+    );
+    assert_eq!(status, 200, "{body}");
+    let id = field(&body, "id").expect("campaign id");
+    let body = poll_until(Duration::from_secs(60), || {
+        let (status, body) = http(addr, "GET", &format!("/v1/campaigns/{id}"), "");
+        assert_eq!(status, 200);
+        (field(&body, "state").as_deref() == Some("done")).then_some(body)
+    });
+    assert_eq!(field(&body, "estimated").as_deref(), Some("4"), "{body}");
+    assert_eq!(
+        field(&body, "fully_accounted").as_deref(),
+        Some("true"),
+        "{body}"
+    );
+    let number = |key: &str| -> u64 { field(&body, key).unwrap().parse().unwrap() };
+    assert_eq!(number("total"), 256, "{body}");
+    assert!(
+        number("completed") < number("total"),
+        "a sequential campaign stops before the fixed budget: {body}"
+    );
+
+    let (status, _) = http(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    server
+        .join()
+        .expect("daemon thread")
+        .expect("graceful shutdown must drain the reactor");
+}

@@ -1,6 +1,12 @@
-//! Minimal JSON string escaping — the one piece of JSON machinery the
-//! exporters need. Numbers are formatted with Rust's shortest-roundtrip
-//! `Display`, which is already valid JSON.
+//! Minimal JSON machinery: string escaping for the exporters, and the
+//! one flat-object field reader every consumer of their output uses.
+//! Numbers are formatted with Rust's shortest-roundtrip `Display`, which
+//! is already valid JSON.
+//!
+//! The readers are line-oriented field extraction, not a JSON parser:
+//! the workspace vendors no JSON dependency, and every writer here emits
+//! one flat object per line with `"key": value` spacing (pinned by this
+//! module's tests).
 
 use std::fmt::Write;
 
@@ -32,6 +38,39 @@ pub fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
+}
+
+/// The raw token after `"key": ` on `line`, up to the next `,` or `}`.
+fn field_token<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": ");
+    let at = line.find(&needle)? + needle.len();
+    let tail = &line[at..];
+    let end = tail.find([',', '}']).unwrap_or(tail.len());
+    Some(tail[..end].trim())
+}
+
+/// The unsigned integer after `"key": ` on `line`, if present.
+pub fn field_u64(line: &str, key: &str) -> Option<u64> {
+    field_token(line, key)?.parse().ok()
+}
+
+/// The number after `"key": ` on `line`, if present.
+pub fn field_f64(line: &str, key: &str) -> Option<f64> {
+    field_token(line, key)?.parse().ok()
+}
+
+/// The boolean after `"key": ` on `line`, if present.
+pub fn field_bool(line: &str, key: &str) -> Option<bool> {
+    field_token(line, key)?.parse().ok()
+}
+
+/// The string after `"key": "` on `line`, if present (up to the next
+/// quote; the exporters' keys and enum values carry no escapes).
+pub fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": \"");
+    let at = line.find(&needle)? + needle.len();
+    let tail = &line[at..];
+    Some(&tail[..tail.find('"')?])
 }
 
 /// Strips the `"at_us": N, ` field from each line of a JSONL event
@@ -74,6 +113,20 @@ mod tests {
         );
         // Lines without the field pass through untouched.
         assert_eq!(strip_at_us("{\"x\": 1}\n"), "{\"x\": 1}\n");
+    }
+
+    #[test]
+    fn reads_flat_fields_of_every_type() {
+        let line = r#"{"kind": "probe_matched", "rtt_us": 812, "ratio": 0.97, "ok": true}"#;
+        assert_eq!(field_str(line, "kind"), Some("probe_matched"));
+        assert_eq!(field_u64(line, "rtt_us"), Some(812));
+        assert_eq!(field_f64(line, "ratio"), Some(0.97));
+        assert_eq!(field_bool(line, "ok"), Some(true));
+        // The terminal field parses up to the closing brace.
+        assert_eq!(field_f64(r#"{"probes": 7}"#, "probes"), Some(7.0));
+        assert_eq!(field_u64(line, "missing"), None);
+        assert_eq!(field_u64(line, "kind"), None, "a string is not a number");
+        assert_eq!(field_str(line, "rtt_us"), None, "a number is not a string");
     }
 
     #[test]
