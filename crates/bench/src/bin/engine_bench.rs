@@ -16,6 +16,10 @@
 //! immediately before the reactor, in the same process, so
 //! `reactor_vs_wire_floor` cancels machine speed and background load. The
 //! pair with the median ratio is reported, with the range of all pairs.
+//! At 10k probes each observability tier (insight, pulse, flight) also
+//! runs [`FLOOR_PAIRS`] times; its gated on/off ratio is the median
+//! tier throughput over the median reactor throughput of the pairs, with
+//! the range of single-run ratios recorded next to it.
 //! Usage: `engine_bench [output.json] [--metrics-out metrics.json]`.
 //!
 //! With `--metrics-out`, the final reactor run's metrics registry
@@ -31,10 +35,10 @@
 //!
 //! Every run in the report shares one process-wide ephemeral port
 //! range and warm platform state, so execution order is part of the
-//! measurement. The order is fixed — runs/wire floor, insight, pulse,
-//! flight, scaling (1→2→4→8 shards, stamped with an explicit `order`),
-//! timing — and the RNG seeds are stamped into the JSON so a re-run is
-//! bit-comparable.
+//! measurement. The order is fixed — runs/wire floor, the tiers
+//! round-robin (insight, pulse, flight), scaling (1→2→4→8 shards,
+//! stamped with an explicit `order`), timing — and the RNG seeds are
+//! stamped into the JSON so a re-run is bit-comparable.
 
 use cde_core::{
     enumerate_identical, enumerate_sequential, AccessProvider, CdeInfra, EnumerateOptions,
@@ -49,10 +53,12 @@ use cde_engine::{
 use cde_faults::FaultPlan;
 use cde_netsim::SimTime;
 use cde_platform::{NameserverNet, PlatformBuilder, SelectorKind};
+use cde_pulse::{CounterSample, Pulse, SloSpec};
 use cde_sysio::{recv_batch, send_batch, RecvSlot, SendItem, MAX_BATCH};
 use cde_telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,9 +89,10 @@ const TIMING_EPSILON: f64 = 0.001;
 /// (~270 small datagrams) — deeper windows overflow it and turn the
 /// measurement into a retransmission bench.
 const REACTOR_WINDOW: usize = 128;
-/// Wire-floor/reactor pairs per probe count. A 1k-probe campaign lasts
-/// about 10 ms, so one scheduler hiccup moves a single pair's ratio by
-/// tens of percent; the median of five does not move with it.
+/// Wire-floor/reactor pairs per probe count, and runs per observability
+/// tier. A 1k-probe campaign lasts about 10 ms, so one scheduler hiccup
+/// moves a single pair's ratio by tens of percent; the median of five
+/// does not move with it.
 const FLOOR_PAIRS: usize = 5;
 
 /// Loopback should be lossless, but a loaded burst can still shed the
@@ -287,6 +294,90 @@ struct FloorRatio {
     median: f64,
     lowest: f64,
     highest: f64,
+}
+
+/// An observability tier whose hot-path cost the report gates as an
+/// on/off throughput ratio: RTT digests and phase timers, the health
+/// engine's observation path (exemplars plus a sampler thread at the
+/// daemon's cadence), or the flight ring.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Insight,
+    Pulse,
+    Flight,
+}
+
+impl Tier {
+    const ALL: [Tier; 3] = [Tier::Insight, Tier::Pulse, Tier::Flight];
+
+    /// Report section, gated key and run-line backend name.
+    fn names(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Tier::Insight => ("insight", "digests_on_vs_off", "reactor_insight"),
+            Tier::Pulse => ("pulse", "pulse_on_vs_off", "reactor_pulse"),
+            Tier::Flight => ("flight", "flight_on_vs_off", "reactor_flight"),
+        }
+    }
+}
+
+/// The single-shard reactor campaign of [`reactor_run`] with one
+/// observability tier on.
+fn tier_run(
+    addrs: &HashMap<Ipv4Addr, SocketAddr>,
+    honey: &Name,
+    count: usize,
+    tier: Tier,
+) -> RunStats {
+    let base = ReactorConfig {
+        shards: 1,
+        ..ReactorConfig::with_policy(bench_policy(), BENCH_SEED)
+    };
+    let config = match tier {
+        Tier::Insight => ReactorConfig {
+            insight: Some(InsightOptions::default()),
+            ..base
+        },
+        Tier::Pulse => ReactorConfig {
+            pulse: Some(PulseOptions::default()),
+            ..base
+        },
+        Tier::Flight => ReactorConfig {
+            flight: Some(FlightOptions::default()),
+            ..base
+        },
+    };
+    let reactor = Reactor::launch(addrs.clone(), config).expect("tier reactor");
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = reactor.exemplars().map(|exemplars| {
+        let pulse = Pulse::new(SloSpec::default()).with_exemplars(exemplars);
+        let metrics = reactor.metrics();
+        let stop = Arc::clone(&stop);
+        let epoch = Instant::now();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                let snap = metrics.snapshot();
+                pulse.observe(CounterSample {
+                    at_ms: epoch.elapsed().as_millis() as u64,
+                    sent: snap.sent,
+                    received: snap.received,
+                    timeouts: snap.timeouts,
+                    retries: snap.retries,
+                    strays: snap.stray_replies,
+                    in_flight: snap.in_flight,
+                    ..CounterSample::default()
+                });
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        })
+    });
+    let start = Instant::now();
+    let report = run_campaign_pipelined(&reactor, probe_batch(honey, count), REACTOR_WINDOW);
+    let run = stats(tier.names().2, 1, count, start.elapsed(), &report);
+    stop.store(true, Ordering::SeqCst);
+    if let Some(sampler) = sampler {
+        sampler.join().expect("pulse sampler");
+    }
+    run
 }
 
 fn probe_batch(honey: &Name, count: usize) -> Vec<Probe> {
@@ -499,9 +590,8 @@ fn main() {
     let target = *addrs.get(&INGRESS).expect("throughput ingress");
     let mut runs: Vec<RunStats> = Vec::new();
     let mut floor_ratios: Vec<FloorRatio> = Vec::new();
-    let mut insight_ratios: Vec<(usize, f64)> = Vec::new();
-    let mut pulse_ratios: Vec<(usize, f64)> = Vec::new();
-    let mut flight_ratios: Vec<(usize, f64)> = Vec::new();
+    // Each tier's gated report line, in `Tier::ALL` order.
+    let mut tier_json: [String; 3] = Default::default();
     let mut last_registry: Option<Arc<MetricsRegistry>> = None;
 
     for count in [1_000usize, 10_000] {
@@ -550,129 +640,37 @@ fn main() {
         runs.push(floor);
         runs.push(reactor_stats);
 
-        // Insight capture overhead: the same reactor campaign with RTT
-        // digests and phase timers live, at the largest probe count
-        // only. The ratio against the digests-off run above gates the
-        // capture tier's hot-path cost in CI.
+        // Observability overhead at the largest probe count: the same
+        // campaign with each tier on, FLOOR_PAIRS runs per tier taken
+        // round-robin. The median on-throughput over the median reactor
+        // throughput above is the gated on/off ratio, so no single run
+        // on either side of it can sink the gate.
         if count == 10_000 {
-            let reactor = Reactor::launch(
-                addrs.clone(),
-                ReactorConfig {
-                    shards: 1,
-                    insight: Some(InsightOptions::default()),
-                    ..ReactorConfig::with_policy(bench_policy(), BENCH_SEED)
-                },
-            )
-            .expect("insight reactor");
-            let start = Instant::now();
-            let report = run_campaign_pipelined(
-                &reactor,
-                probe_batch(&session.honey, count),
-                REACTOR_WINDOW,
-            );
-            let insight_stats = stats("reactor_insight", 1, count, start.elapsed(), &report);
-            let ratio = insight_stats.probes_per_sec() / reactor_pps;
-            eprintln!(
-                "insight   {:>6} probes  {:>10.0} probes/s  digests on/off {ratio:.2}x",
-                count,
-                insight_stats.probes_per_sec(),
-            );
-            insight_ratios.push((count, ratio));
-            runs.push(insight_stats);
-        }
-
-        // Pulse overhead: the same campaign with the health engine's
-        // full observation path live — exemplar reservoir on every
-        // completion, shard-runtime counters, and a sampler thread
-        // snapshotting the merged metrics into rolling windows at the
-        // daemon's cadence. The ratio against the pulse-off run gates
-        // the health tier's hot-path cost in CI.
-        if count == 10_000 {
-            let reactor = Reactor::launch(
-                addrs.clone(),
-                ReactorConfig {
-                    shards: 1,
-                    pulse: Some(PulseOptions::default()),
-                    ..ReactorConfig::with_policy(bench_policy(), BENCH_SEED)
-                },
-            )
-            .expect("pulse reactor");
-            let pulse = std::sync::Arc::new(
-                cde_pulse::Pulse::new(cde_pulse::SloSpec::default())
-                    .with_exemplars(reactor.exemplars().expect("pulse reservoir")),
-            );
-            let metrics = reactor.metrics();
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let sampler = {
-                let pulse = std::sync::Arc::clone(&pulse);
-                let stop = std::sync::Arc::clone(&stop);
-                let epoch = Instant::now();
-                std::thread::spawn(move || {
-                    while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                        let snap = metrics.snapshot();
-                        pulse.observe(cde_pulse::CounterSample {
-                            at_ms: epoch.elapsed().as_millis() as u64,
-                            sent: snap.sent,
-                            received: snap.received,
-                            timeouts: snap.timeouts,
-                            retries: snap.retries,
-                            strays: snap.stray_replies,
-                            in_flight: snap.in_flight,
-                            ..cde_pulse::CounterSample::default()
-                        });
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                })
-            };
-            let start = Instant::now();
-            let report = run_campaign_pipelined(
-                &reactor,
-                probe_batch(&session.honey, count),
-                REACTOR_WINDOW,
-            );
-            let pulse_stats = stats("reactor_pulse", 1, count, start.elapsed(), &report);
-            stop.store(true, std::sync::atomic::Ordering::SeqCst);
-            sampler.join().expect("pulse sampler");
-            let ratio = pulse_stats.probes_per_sec() / reactor_pps;
-            eprintln!(
-                "pulse     {:>6} probes  {:>10.0} probes/s  pulse on/off {ratio:.2}x",
-                count,
-                pulse_stats.probes_per_sec(),
-            );
-            pulse_ratios.push((count, ratio));
-            runs.push(pulse_stats);
-        }
-
-        // Flight-recorder overhead: the same campaign with the always-on
-        // flight ring live — every shard writes one seqlocked lifecycle
-        // record per probe completion (send/match/expiry timestamps, RTO,
-        // disposition, wire size). The ratio against the flight-off run
-        // gates the recorder's hot-path cost in CI.
-        if count == 10_000 {
-            let reactor = Reactor::launch(
-                addrs.clone(),
-                ReactorConfig {
-                    shards: 1,
-                    flight: Some(FlightOptions::default()),
-                    ..ReactorConfig::with_policy(bench_policy(), BENCH_SEED)
-                },
-            )
-            .expect("flight reactor");
-            let start = Instant::now();
-            let report = run_campaign_pipelined(
-                &reactor,
-                probe_batch(&session.honey, count),
-                REACTOR_WINDOW,
-            );
-            let flight_stats = stats("reactor_flight", 1, count, start.elapsed(), &report);
-            let ratio = flight_stats.probes_per_sec() / reactor_pps;
-            eprintln!(
-                "flight    {:>6} probes  {:>10.0} probes/s  flight on/off {ratio:.2}x",
-                count,
-                flight_stats.probes_per_sec(),
-            );
-            flight_ratios.push((count, ratio));
-            runs.push(flight_stats);
+            let mut tier_runs: Vec<Vec<RunStats>> = Tier::ALL.iter().map(|_| Vec::new()).collect();
+            for _ in 0..FLOOR_PAIRS {
+                for (tier, runs_of_tier) in Tier::ALL.into_iter().zip(&mut tier_runs) {
+                    runs_of_tier.push(tier_run(&addrs, &session.honey, count, tier));
+                }
+            }
+            for (i, mut tier_runs) in tier_runs.into_iter().enumerate() {
+                tier_runs.sort_by(|a, b| a.probes_per_sec().total_cmp(&b.probes_per_sec()));
+                let ratio_of = |run: &RunStats| run.probes_per_sec() / reactor_pps;
+                let lowest = ratio_of(&tier_runs[0]);
+                let highest = ratio_of(&tier_runs[FLOOR_PAIRS - 1]);
+                let median = tier_runs.swap_remove(FLOOR_PAIRS / 2);
+                let ratio = ratio_of(&median);
+                let (section, key, _) = Tier::ALL[i].names();
+                eprintln!(
+                    "{section:<10}{count:>6} probes  {:>10.0} probes/s  on/off {ratio:.2}x \
+                     (median of {FLOOR_PAIRS} runs, range {lowest:.2}-{highest:.2})",
+                    median.probes_per_sec(),
+                );
+                tier_json[i] = format!(
+                    "    {{\"probes\": {count}, \"{key}\": {ratio:.2}, \"repeats\": {FLOOR_PAIRS}, \
+                     \"lowest\": {lowest:.2}, \"highest\": {highest:.2}}}"
+                );
+                runs.push(median);
+            }
         }
     }
 
@@ -772,18 +770,6 @@ fn main() {
             )
         })
         .collect();
-    let insight_json: Vec<String> = insight_ratios
-        .iter()
-        .map(|(count, r)| format!("    {{\"probes\": {count}, \"digests_on_vs_off\": {r:.2}}}"))
-        .collect();
-    let pulse_json: Vec<String> = pulse_ratios
-        .iter()
-        .map(|(count, r)| format!("    {{\"probes\": {count}, \"pulse_on_vs_off\": {r:.2}}}"))
-        .collect();
-    let flight_json: Vec<String> = flight_ratios
-        .iter()
-        .map(|(count, r)| format!("    {{\"probes\": {count}, \"flight_on_vs_off\": {r:.2}}}"))
-        .collect();
     let scaling_json: Vec<String> = scaling
         .iter()
         .map(|(order, shards, pps)| {
@@ -807,9 +793,9 @@ fn main() {
         REACTOR_WINDOW,
         runs_json.join(",\n"),
         floor_json.join(",\n"),
-        insight_json.join(",\n"),
-        pulse_json.join(",\n"),
-        flight_json.join(",\n"),
+        tier_json[0],
+        tier_json[1],
+        tier_json[2],
         scaling_json.join(",\n"),
         timing_json,
     );

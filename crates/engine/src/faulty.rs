@@ -16,13 +16,14 @@
 //! ([`ReactorConfig::faults`](crate::ReactorConfig::faults)).
 
 use crate::metrics::EngineMetrics;
+use crate::observe::{ProbeFields, ProbeObserver, ProbeRecord};
 use crate::transport::{Transport, TransportReply};
 use cde_core::AccessProvider;
 use cde_dns::{Name, Rcode, RecordType};
 use cde_faults::{Delivery, Direction, FaultInjector, FaultPlan, FaultStats, Verdict};
 use cde_netsim::{SimDuration, SimTime};
 use cde_platform::NameserverNet;
-use cde_telemetry::{EventKind as TelemetryEvent, TelemetryHub};
+use cde_telemetry::TelemetryHub;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,18 +39,19 @@ pub struct FaultyTransport<T: Transport> {
     inner: T,
     injector: FaultInjector,
     metrics: Arc<EngineMetrics>,
-    telemetry: Arc<TelemetryHub>,
+    observer: ProbeObserver,
     next_token: u64,
 }
 
 impl<T: Transport> FaultyTransport<T> {
     /// Wraps `inner` so every probe runs the gauntlet of `plan`.
     pub fn new(inner: T, plan: &FaultPlan) -> FaultyTransport<T> {
+        let metrics = Arc::new(EngineMetrics::new());
         FaultyTransport {
             inner,
             injector: FaultInjector::new(plan),
-            metrics: Arc::new(EngineMetrics::new()),
-            telemetry: cde_telemetry::global(),
+            observer: ProbeObserver::counters_and_events(metrics.shard(0), cde_telemetry::global()),
+            metrics,
             next_token: 1,
         }
     }
@@ -58,7 +60,7 @@ impl<T: Transport> FaultyTransport<T> {
     /// process-global one — chaos tests use per-run hubs so two runs of
     /// the same seed can diff their event streams.
     pub fn with_telemetry(mut self, hub: Arc<TelemetryHub>) -> FaultyTransport<T> {
-        self.telemetry = hub;
+        self.observer = ProbeObserver::counters_and_events(self.metrics.shard(0), hub);
         self
     }
 
@@ -88,32 +90,70 @@ impl<T: Transport> FaultyTransport<T> {
         t
     }
 
-    fn timed_out(&self, token: u64) -> TransportReply {
-        self.metrics.record_timeout();
-        self.telemetry
-            .emit(0, TelemetryEvent::ProbeTimedOut { token, attempts: 1 });
-        TransportReply::TimedOut
-    }
-
-    fn answered(&self, token: u64, latency: Option<SimDuration>, rcode: Rcode) -> TransportReply {
-        let rtt_us = latency.map(|l| l.as_micros()).unwrap_or(0);
-        self.metrics.record_received(Duration::from_micros(rtt_us));
-        self.telemetry.emit(
-            0,
-            TelemetryEvent::ProbeMatched {
-                token,
-                attempt: 0,
-                rtt_us,
-                retransmit_ambiguous: false,
-            },
-        );
-        TransportReply::Answered { latency, rcode }
-    }
-
     /// First copy that survived truncation, if any: a truncated datagram
     /// fails DNS decoding at the receiver, so only intact copies count.
     fn first_intact(copies: &[Delivery]) -> Option<Delivery> {
         copies.iter().copied().find(|c| c.truncate_to.is_none())
+    }
+
+    /// Runs one probe through the query-direction gauntlet, the inner
+    /// transport and the reply-direction gauntlet.
+    fn gauntlet(
+        &mut self,
+        ingress: Ipv4Addr,
+        qname: &Name,
+        qtype: RecordType,
+        now: SimTime,
+    ) -> TransportReply {
+        let clock = Duration::from_micros(now.as_micros());
+        let outbound = self
+            .injector
+            .decide(Direction::ClientToServer, clock, NOMINAL_PROBE_LEN);
+        let query_delay = match outbound {
+            // The resolver refuses without resolving: an answer comes
+            // back, but the platform never sees the query (no cache
+            // warming, no honey fetch).
+            Verdict::Refuse => {
+                return TransportReply::Answered {
+                    latency: Some(SimDuration::from_micros(0)),
+                    rcode: Rcode::Refused,
+                }
+            }
+            Verdict::Drop(_) => return TransportReply::TimedOut,
+            Verdict::Deliver(ref copies) => match Self::first_intact(copies) {
+                // Every copy was truncated: the resolver drops them all
+                // as malformed, the cache stays cold.
+                None => return TransportReply::TimedOut,
+                Some(copy) => copy.delay,
+            },
+        };
+
+        // The query reached the platform: the inner transport resolves it
+        // for real (warming caches), then the reply runs the gauntlet.
+        let TransportReply::Answered { latency, rcode } =
+            self.inner.query(ingress, qname, qtype, now)
+        else {
+            return TransportReply::TimedOut;
+        };
+        let inbound = self
+            .injector
+            .decide(Direction::ServerToClient, clock, NOMINAL_PROBE_LEN);
+        match inbound {
+            // The cache is already warm; losing or mangling the reply
+            // only makes the *probe* look lost.
+            Verdict::Drop(_) | Verdict::Refuse => TransportReply::TimedOut,
+            Verdict::Deliver(ref copies) => match Self::first_intact(copies) {
+                None => TransportReply::TimedOut,
+                Some(copy) => {
+                    let injected = (query_delay + copy.delay).as_micros() as u64;
+                    TransportReply::Answered {
+                        latency: latency
+                            .map(|l| SimDuration::from_micros(l.as_micros() + injected)),
+                        rcode,
+                    }
+                }
+            },
+        }
     }
 }
 
@@ -125,58 +165,14 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         qtype: RecordType,
         now: SimTime,
     ) -> TransportReply {
-        let token = self.fresh_token();
-        self.metrics.record_sent();
-        self.telemetry
-            .emit(0, TelemetryEvent::ProbeSent { token, attempt: 0 });
-
-        let clock = Duration::from_micros(now.as_micros());
-        let outbound = self
-            .injector
-            .decide(Direction::ClientToServer, clock, NOMINAL_PROBE_LEN);
-        let query_delay = match outbound {
-            Verdict::Refuse => {
-                // The resolver refuses without resolving: an answer comes
-                // back, but the platform never sees the query (no cache
-                // warming, no honey fetch).
-                return self.answered(token, Some(SimDuration::from_micros(0)), Rcode::Refused);
-            }
-            Verdict::Drop(_) => return self.timed_out(token),
-            Verdict::Deliver(ref copies) => match Self::first_intact(copies) {
-                // Every copy was truncated: the resolver drops them all
-                // as malformed, the cache stays cold.
-                None => return self.timed_out(token),
-                Some(copy) => copy.delay,
-            },
-        };
-
-        // The query reached the platform: the inner transport resolves it
-        // for real (warming caches), then the reply runs the gauntlet.
-        match self.inner.query(ingress, qname, qtype, now) {
-            TransportReply::TimedOut => self.timed_out(token),
-            TransportReply::Answered { latency, rcode } => {
-                let inbound =
-                    self.injector
-                        .decide(Direction::ServerToClient, clock, NOMINAL_PROBE_LEN);
-                match inbound {
-                    // The cache is already warm; losing or mangling the
-                    // reply only makes the *probe* look lost.
-                    Verdict::Drop(_) | Verdict::Refuse => self.timed_out(token),
-                    Verdict::Deliver(ref copies) => match Self::first_intact(copies) {
-                        None => self.timed_out(token),
-                        Some(copy) => {
-                            let injected = query_delay + copy.delay;
-                            let latency = latency.map(|l| {
-                                SimDuration::from_micros(
-                                    l.as_micros() + injected.as_micros() as u64,
-                                )
-                            });
-                            self.answered(token, latency, rcode)
-                        }
-                    },
-                }
-            }
-        }
+        let probe = ProbeFields::sent_once(self.fresh_token(), ingress);
+        self.observer.observe(&ProbeRecord::Sent(probe));
+        let reply = self.gauntlet(ingress, qname, qtype, now);
+        self.observer.observe(&ProbeRecord::Completed {
+            probe,
+            reply: &reply,
+        });
+        reply
     }
 
     fn net(&self) -> &NameserverNet {

@@ -14,15 +14,16 @@
 //! Design:
 //!
 //! * Each shard owns one [`FlightRing`]; the shard loop is its **only
-//!   writer** (mirroring the reactor's share-nothing topology), so
-//!   writes need no CAS loops — just a per-slot seqlock so concurrent
-//!   readers (dump triggers on other threads) never observe a torn
-//!   record.
-//! * A record is seven `u64` data words plus one sequence word, all
-//!   plain atomics (the crate forbids `unsafe`). The writer bumps the
-//!   sequence to an odd value, stores the words, then publishes an even
-//!   value derived from the monotonic write index; readers retry on
-//!   odd/unequal sequences.
+//!   writer** (mirroring the reactor's share-nothing topology), and
+//!   dump triggers on other threads read it concurrently. The ring is a
+//!   `cde_telemetry::SeqlockRing` — the same seqlock the pulse sampler
+//!   uses — so a reader never observes a torn record and never blocks
+//!   the writer.
+//! * A record packs into seven `u64` words; [`FlightRing`] is only that
+//!   pack/unpack layer. Which probe transitions become records, and
+//!   with which fields, is decided in one place: the shard's probe
+//!   observer (`observe.rs`), which feeds every other per-probe view
+//!   from the same call.
 //! * The ring drops oldest on wrap and accounts every shed record
 //!   exactly: `shed() == written().saturating_sub(capacity)`.
 //! * [`FlightRecorder`] owns all shard rings plus the shared epoch
@@ -32,11 +33,11 @@
 //!   --forensics`.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use cde_telemetry::json::write_str;
+use cde_telemetry::SeqlockRing;
 
 /// Enables the flight recorder on a reactor
 /// ([`ReactorConfig::flight`](crate::reactor::ReactorConfig::flight)).
@@ -60,6 +61,7 @@ impl Default for FlightOptions {
 /// individual *wire observations* (one datagram each) that the
 /// forensics reconciler joins back to probes by token or query id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum FlightDisposition {
     /// A matching reply arrived with a non-REFUSED rcode.
     Answered,
@@ -92,29 +94,22 @@ impl FlightDisposition {
         }
     }
 
+    const ALL: [FlightDisposition; 7] = [
+        FlightDisposition::Answered,
+        FlightDisposition::Refused,
+        FlightDisposition::TimedOut,
+        FlightDisposition::Unroutable,
+        FlightDisposition::StrayReply,
+        FlightDisposition::QueryDropped,
+        FlightDisposition::ReplyDropped,
+    ];
+
     fn to_u8(self) -> u8 {
-        match self {
-            FlightDisposition::Answered => 0,
-            FlightDisposition::Refused => 1,
-            FlightDisposition::TimedOut => 2,
-            FlightDisposition::Unroutable => 3,
-            FlightDisposition::StrayReply => 4,
-            FlightDisposition::QueryDropped => 5,
-            FlightDisposition::ReplyDropped => 6,
-        }
+        self as u8
     }
 
     fn from_u8(v: u8) -> Option<FlightDisposition> {
-        Some(match v {
-            0 => FlightDisposition::Answered,
-            1 => FlightDisposition::Refused,
-            2 => FlightDisposition::TimedOut,
-            3 => FlightDisposition::Unroutable,
-            4 => FlightDisposition::StrayReply,
-            5 => FlightDisposition::QueryDropped,
-            6 => FlightDisposition::ReplyDropped,
-            _ => return None,
-        })
+        Self::ALL.get(usize::from(v)).copied()
     }
 }
 
@@ -154,25 +149,8 @@ impl FlightRecord {
     pub const NO_TOKEN: u64 = u64::MAX;
 }
 
-/// Data words per slot (the sequence word is separate).
+/// Words per packed record.
 const WORDS: usize = 7;
-
-#[derive(Debug)]
-struct Slot {
-    /// Even = consistent (value `2 * (write_index + 1)`), odd = write
-    /// in progress, 0 = never written.
-    seq: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: Default::default(),
-        }
-    }
-}
 
 fn pack(rec: &FlightRecord) -> [u64; WORDS] {
     [
@@ -212,18 +190,14 @@ fn unpack(words: &[u64; WORDS]) -> Option<FlightRecord> {
 #[derive(Debug)]
 pub struct FlightRing {
     epoch: Instant,
-    slots: Box<[Slot]>,
-    /// Records ever written (monotonic); the next write index.
-    head: AtomicU64,
+    ring: SeqlockRing<WORDS>,
 }
 
 impl FlightRing {
     fn new(epoch: Instant, capacity: usize) -> FlightRing {
-        let capacity = capacity.max(1);
         FlightRing {
             epoch,
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
+            ring: SeqlockRing::with_capacity(capacity),
         }
     }
 
@@ -244,70 +218,29 @@ impl FlightRing {
     /// Must only be called from the ring's single writer (the owning
     /// shard loop); readers may snapshot concurrently.
     pub fn record(&self, rec: &FlightRecord) -> bool {
-        let i = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        #[allow(clippy::manual_is_multiple_of)] // MSRV 1.81
-        let slot = &self.slots[(i % cap) as usize];
-        // Seqlock write: go odd (the swap's acquire half keeps the word
-        // stores from floating above it), store the payload, publish the
-        // even sequence derived from the write index.
-        slot.seq.swap(2 * i + 1, Ordering::AcqRel);
-        let words = pack(rec);
-        for (w, v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * (i + 1), Ordering::Release);
-        self.head.store(i + 1, Ordering::Release);
-        i >= cap
+        self.ring.push(pack(rec)) >= self.ring.capacity() as u64
     }
 
     /// Records ever written to this ring.
     pub fn written(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring.pushed()
     }
 
     /// Records overwritten before ever being read — exact by
     /// construction: every write past capacity evicts exactly one.
     pub fn shed(&self) -> u64 {
-        self.written().saturating_sub(self.slots.len() as u64)
+        self.written().saturating_sub(self.ring.capacity() as u64)
     }
 
     /// Slots in the ring.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Tear-free copy of the current contents, oldest first. Slots
     /// being overwritten mid-read are skipped, never misread.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
-        let mut out: Vec<(u64, FlightRecord)> = Vec::with_capacity(self.slots.len());
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            #[allow(clippy::manual_is_multiple_of)] // MSRV 1.81
-            if s1 == 0 || s1 % 2 == 1 {
-                continue; // never written, or write in progress
-            }
-            let mut words = [0u64; WORDS];
-            for (v, w) in words.iter_mut().zip(slot.words.iter()) {
-                *v = w.load(Ordering::Relaxed);
-            }
-            // Order the relaxed word loads before the confirming
-            // sequence load (the classic seqlock read fence).
-            fence(Ordering::Acquire);
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 != s2 {
-                continue; // overwritten while reading
-            }
-            let write_index = s1 / 2 - 1;
-            if write_index % self.slots.len() as u64 != idx as u64 {
-                continue; // torn sequence (cannot happen single-writer)
-            }
-            if let Some(rec) = unpack(&words) {
-                out.push((write_index, rec));
-            }
-        }
-        out.sort_unstable_by_key(|(i, _)| *i);
-        out.into_iter().map(|(_, r)| r).collect()
+        self.ring.snapshot().iter().filter_map(unpack).collect()
     }
 }
 
@@ -315,7 +248,6 @@ impl FlightRing {
 #[derive(Debug)]
 pub struct FlightRecorder {
     rings: Vec<Arc<FlightRing>>,
-    per_shard: usize,
 }
 
 impl FlightRecorder {
@@ -327,7 +259,6 @@ impl FlightRecorder {
             rings: (0..shards.max(1))
                 .map(|_| Arc::new(FlightRing::new(epoch, per_shard)))
                 .collect(),
-            per_shard: per_shard.max(1),
         }
     }
 
@@ -343,7 +274,7 @@ impl FlightRecorder {
 
     /// Slots per shard ring.
     pub fn per_shard(&self) -> usize {
-        self.per_shard
+        self.rings[0].capacity()
     }
 
     /// Total records ever written across shards.
@@ -377,7 +308,7 @@ impl FlightRecorder {
              \"shards\": {}, \"capacity_per_shard\": {}, \
              \"written\": {}, \"shed\": {}, \"records\": {}}}\n",
             self.rings.len(),
-            self.per_shard,
+            self.per_shard(),
             self.written(),
             self.shed(),
             records.len(),
@@ -419,7 +350,7 @@ fn render_record(out: &mut String, rec: &FlightRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
     fn rec(token: u64, at: u64, disposition: FlightDisposition) -> FlightRecord {

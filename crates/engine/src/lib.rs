@@ -64,7 +64,10 @@
 //!   Prometheus text or JSON. Probe lifecycle events (`planned → sent →
 //!   retried → matched | timed_out`, plus drop reasons) stream through a
 //!   `cde_telemetry::TelemetryHub`; see `ReactorConfig::{telemetry,
-//!   registry}` and `PipelinedCampaign::named`.
+//!   registry}` and `PipelinedCampaign::named`. The counters, events,
+//!   flight records, RTT digests and exemplars of a probe are all
+//!   written by one probe observer, from one record per lifecycle
+//!   transition, so the views agree on every probe's fate.
 //! * [`testbed`] — [`LiveTestbed`](testbed::LiveTestbed): the whole live
 //!   chain (reactor → resolver → authority) launched on loopback in one
 //!   call.
@@ -76,13 +79,14 @@
 //! * [`flight`] — [`FlightRecorder`](flight::FlightRecorder): the
 //!   always-on black box. With
 //!   [`ReactorConfig::flight`](reactor::ReactorConfig::flight) set, each
-//!   shard loop writes a bounded seqlock ring of full-fidelity probe
-//!   lifecycle records (send/match/expiry timestamps, RTO used,
-//!   disposition, wire size, query id) plus per-datagram fault-layer
-//!   wire observations, drop-oldest with exact shed accounting. Dump
-//!   triggers snapshot it to a versioned JSONL artifact that
-//!   `cde-analyze --forensics` reconciles into a per-ingress fate table
-//!   (query-lost vs reply-lost vs matched-late-as-stray).
+//!   shard loop writes a bounded ring (`cde_telemetry::SeqlockRing`) of
+//!   full-fidelity probe lifecycle records (send/match/expiry
+//!   timestamps, RTO used, disposition, wire size, query id) plus
+//!   per-datagram fault-layer wire observations, drop-oldest with exact
+//!   shed accounting. Dump triggers snapshot it to a versioned JSONL
+//!   artifact that `cde-analyze --forensics` reconciles into a
+//!   per-ingress fate table (query-lost vs reply-lost vs
+//!   matched-late-as-stray).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,6 +97,7 @@ pub mod clock;
 pub mod faulty;
 pub mod flight;
 pub mod metrics;
+mod observe;
 pub mod ratelimit;
 pub mod reactor;
 pub mod resolver;

@@ -335,7 +335,8 @@ fn bucket_for(us: u64) -> usize {
 /// shard, merged on every read.
 ///
 /// With one block (the default) this behaves exactly like the block
-/// itself did before sharding — same methods, same exported families.
+/// itself — it derefs to block 0 for recording, and exports the same
+/// families.
 /// With N blocks, writers pick their block via [`EngineMetrics::shard`]
 /// and readers see merged totals via [`EngineMetrics::snapshot`], or
 /// per-shard series (labelled `shard="i"`) from the `Collector` impl.
@@ -400,106 +401,15 @@ impl EngineMetrics {
         }
         merged
     }
+}
 
-    /// Records one datagram sent (block 0 — unsharded writers).
-    pub fn record_sent(&self) {
-        self.blocks[0].record_sent();
-    }
+/// Unsharded writers — a transport outside the reactor, a test — record
+/// into block 0 through the block's own methods.
+impl std::ops::Deref for EngineMetrics {
+    type Target = MetricsBlock;
 
-    /// Records one matched response, with its round-trip time.
-    pub fn record_received(&self, rtt: Duration) {
-        self.blocks[0].record_received(rtt);
-    }
-
-    /// Records a probe that ran out of attempts.
-    pub fn record_timeout(&self) {
-        self.blocks[0].record_timeout();
-    }
-
-    /// Records one retry (an attempt after the first).
-    pub fn record_retry(&self) {
-        self.blocks[0].record_retry();
-    }
-
-    /// Records a rate-limiter stall of `waited`.
-    pub fn record_rate_limit_stall(&self, waited: Duration) {
-        self.blocks[0].record_rate_limit_stall(waited);
-    }
-
-    /// Records a datagram that could not be decoded/matched.
-    pub fn record_decode_error(&self) {
-        self.blocks[0].record_decode_error();
-    }
-
-    /// Sets the in-flight gauge, tracking its high-water mark.
-    pub fn set_in_flight(&self, n: u64) {
-        self.blocks[0].set_in_flight(n);
-    }
-
-    /// Records a well-formed reply that matched no outstanding probe.
-    pub fn record_stray_reply(&self) {
-        self.blocks[0].record_stray_reply();
-    }
-
-    /// Records a reply from an address other than the probed target.
-    pub fn record_spoofed_reply(&self) {
-        self.blocks[0].record_spoofed_reply();
-    }
-
-    /// Records an id-matched reply echoing the wrong question.
-    pub fn record_qname_mismatch(&self) {
-        self.blocks[0].record_qname_mismatch();
-    }
-
-    /// Records one batched send of `n` datagrams.
-    pub fn record_send_batch(&self, n: usize) {
-        self.blocks[0].record_send_batch(n);
-    }
-
-    /// Records one reactor loop iteration taking `took`.
-    pub fn record_loop_iteration(&self, took: Duration) {
-        self.blocks[0].record_loop_iteration(took);
-    }
-
-    /// Sets the timer-wheel pending gauge, tracking its high-water mark.
-    pub fn set_wheel_pending(&self, n: u64) {
-        self.blocks[0].set_wheel_pending(n);
-    }
-
-    /// Records the correlation-slab capacity (once, at reactor launch).
-    pub fn set_slab_capacity(&self, n: u64) {
-        self.blocks[0].set_slab_capacity(n);
-    }
-
-    /// Sets the submission-ring occupancy gauge, tracking its high-water
-    /// mark.
-    pub fn set_ring_depth(&self, n: u64) {
-        self.blocks[0].set_ring_depth(n);
-    }
-
-    /// Records one park of `slept` spent waiting for work.
-    pub fn record_park(&self, slept: Duration) {
-        self.blocks[0].record_park(slept);
-    }
-
-    /// Records one wake-from-park and its wake-to-first-poll latency.
-    pub fn record_wake_latency(&self, latency: Duration) {
-        self.blocks[0].record_wake_latency(latency);
-    }
-
-    /// Records one send armed with an adaptive (learned) deadline.
-    pub fn record_adaptive_deadline(&self) {
-        self.blocks[0].record_adaptive_deadline();
-    }
-
-    /// Records one deadline expiry backing a learned RTO off.
-    pub fn record_rto_backoff(&self) {
-        self.blocks[0].record_rto_backoff();
-    }
-
-    /// Sets the loss-aware submit-window gauge.
-    pub fn set_paced_window(&self, n: u64) {
-        self.blocks[0].set_paced_window(n);
+    fn deref(&self) -> &MetricsBlock {
+        &self.blocks[0]
     }
 }
 

@@ -38,6 +38,7 @@ use crate::authority::{AuthoritySync, Observation, WireAuthority};
 use crate::bufpool::BufferPool;
 use crate::flight::{FlightOptions, FlightRecorder};
 use crate::metrics::EngineMetrics;
+use crate::observe::ProbeObserver;
 use crate::ratelimit::RateLimiter;
 use crate::resolver::{LoopbackResolver, ResolverSync};
 use crate::retry::RetryPolicy;
@@ -492,16 +493,20 @@ impl ShardedReactor {
                 rng: DetRng::seed(config.seed).fork_indexed("reactor", i as u64),
                 generation: 0,
                 start: Instant::now(),
+                observer: ProbeObserver {
+                    shard: i as u32,
+                    block: Arc::clone(&block),
+                    telemetry: Arc::clone(&telemetry),
+                    flight: flight.as_ref().map(|f| f.ring(i)),
+                    digests: insight.as_ref().map(|x| Arc::clone(x.digests())),
+                    exemplars: exemplars.as_ref().map(Arc::clone),
+                },
                 block,
-                telemetry: Arc::clone(&telemetry),
                 shutdown: Arc::clone(&shutdown),
                 drain: Arc::clone(&drain),
                 faults: faults.take(),
                 insight: insight.as_ref().map(Arc::clone),
-                shard_id: i as u32,
-                exemplars: exemplars.as_ref().map(Arc::clone),
                 rto: rto.as_ref().map(Arc::clone),
-                flight: flight.as_ref().map(|f| f.ring(i)),
             };
             let thread = std::thread::Builder::new()
                 .name(format!("cde-reactor-{i}"))

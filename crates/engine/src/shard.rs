@@ -11,10 +11,17 @@
 //! mergeable: the per-shard [`MetricsBlock`], the shared telemetry hub,
 //! the shared rate limiter (per-ingress buckets, each owned by exactly
 //! one shard's targets), and the insight digest set (lock-free atomics).
+//!
+//! The loop writes no per-probe view itself. Each lifecycle transition
+//! — admitted unroutable, sent, retried, dropped by the fault layer,
+//! rejected by a correlation check, completed — is one
+//! [`ProbeRecord`] handed to the shard's [`ProbeObserver`], which alone
+//! decides what the counters, the event stream, the flight ring, the
+//! RTT digests and the exemplar reservoir see (see `observe.rs`).
 
 use crate::bufpool::BufferPool;
-use crate::flight::{FlightDisposition, FlightRecord, FlightRing};
 use crate::metrics::MetricsBlock;
+use crate::observe::{clamp_u16, micros, Datagram, ProbeFields, ProbeObserver, ProbeRecord};
 use crate::ratelimit::RateLimiter;
 use crate::reactor::{ProbeCompletion, ReactorInsight};
 use crate::retry::RetryPolicy;
@@ -26,9 +33,7 @@ use cde_dns::{Message, MessagePeek, Name, RecordType};
 use cde_faults::{refused_reply, Direction, FaultInjector, FaultPlan, Verdict};
 use cde_insight::Phase;
 use cde_netsim::{DetRng, SimDuration};
-use cde_pulse::{ExemplarReservoir, ProbeExemplar};
 use cde_sysio::{MpscRing, RecvSlot, SendItem, MAX_BATCH};
-use cde_telemetry::{DropReason, EventKind as TelemetryEvent, TelemetryHub};
 use crossbeam::channel::Sender;
 use rand::Rng;
 use std::cmp::Ordering as CmpOrdering;
@@ -186,26 +191,15 @@ pub(crate) enum PendingState {
 /// One correlation-table entry.
 pub(crate) struct Pending {
     generation: u64,
-    token: u64,
-    ingress: Ipv4Addr,
+    /// Token, ingress, attempt, query id and timings: what the
+    /// observer's views read at each transition.
+    probe: ProbeFields,
     qname: Name,
     qtype: RecordType,
     target: SocketAddrV4,
     /// Cached wire encoding; retransmits patch bytes 0–1 (the id).
     bytes: Vec<u8>,
     socket: usize,
-    id: u16,
-    attempt: u32,
-    sent_at: Instant,
-    /// When the submission entered a correlation slot (exemplar lifetime
-    /// base).
-    admitted_at: Instant,
-    /// Admission-to-first-send latency in microseconds; `u64::MAX` until
-    /// the first send goes out.
-    queue_us: u64,
-    /// Deadline armed for the most recent attempt, in microseconds —
-    /// the "RTO used" the flight record reports. 0 until the first send.
-    last_rto_us: u32,
     state: PendingState,
     done: Sender<ProbeCompletion>,
 }
@@ -330,7 +324,8 @@ pub(crate) struct ShardLoop {
     pub(crate) timers: TimerWheel<TimerEvent>,
     pub(crate) expired: Vec<TimerEvent>,
     pub(crate) ready: VecDeque<usize>,
-    pub(crate) admitted: Vec<usize>,
+    /// Slots (with their ingress) admitted this round.
+    pub(crate) admitted: Vec<(usize, Ipv4Addr)>,
     pub(crate) pool: BufferPool,
     pub(crate) writer: WireWriter,
     pub(crate) recv_slots: Vec<RecvSlot>,
@@ -340,20 +335,19 @@ pub(crate) struct ShardLoop {
     pub(crate) generation: u64,
     pub(crate) start: Instant,
     pub(crate) block: Arc<MetricsBlock>,
-    pub(crate) telemetry: Arc<TelemetryHub>,
+    /// Every per-probe view (counters, events, flight ring, RTT digests,
+    /// exemplars): the loop reports each transition here and nowhere
+    /// else.
+    pub(crate) observer: ProbeObserver,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) drain: Arc<AtomicBool>,
     pub(crate) faults: Option<FaultLayer>,
+    /// Phase timers only; the RTT digests are fed by the observer.
     pub(crate) insight: Option<Arc<ReactorInsight>>,
-    pub(crate) shard_id: u32,
-    pub(crate) exemplars: Option<Arc<ExemplarReservoir>>,
     /// Adaptive per-ingress RTO table, shared across shards (each
     /// ingress's cell is only ever written by the one shard that owns
     /// the ingress). `None` runs the static [`RetryPolicy`] schedule.
     pub(crate) rto: Option<Arc<RtoTable>>,
-    /// This shard's flight-recorder ring; the loop is its single
-    /// writer. `None` when the recorder is off.
-    pub(crate) flight: Option<Arc<FlightRing>>,
 }
 
 /// Builds a shard's pending-slot vector (the type is private to this
@@ -362,21 +356,7 @@ pub(crate) fn empty_slots(max_in_flight: usize) -> Vec<Option<Pending>> {
     (0..max_in_flight).map(|_| None).collect()
 }
 
-/// Attempts-made for a flight record from a zero-based attempt index.
-fn attempts_made(attempt: u32) -> u8 {
-    (attempt + 1).min(255) as u8
-}
-
 impl ShardLoop {
-    /// Writes one record into this shard's flight ring (the caller has
-    /// already checked the ring exists) and keeps the counters exact.
-    fn flight_write(&self, ring: &FlightRing, rec: &FlightRecord) {
-        if ring.record(rec) {
-            self.block.record_flight_shed();
-        }
-        self.block.record_flight_record();
-    }
-
     /// Starts a sampled phase timer; `None` when capture is off or this
     /// entry is not sampled. Zero-cost (no clock read) in both cases.
     #[inline]
@@ -457,8 +437,7 @@ impl ShardLoop {
             // Batch-aware token take: one bucket update per distinct
             // ingress in the admitted burst, not one per probe.
             let mut groups: Vec<(Ipv4Addr, u32)> = Vec::new();
-            for &slot in &admitted {
-                let ingress = self.slots[slot].as_ref().expect("admitted slot").ingress;
+            for &(_, ingress) in &admitted {
                 match groups.iter_mut().find(|(ip, _)| *ip == ingress) {
                     Some((_, n)) => *n += 1,
                     None => groups.push((ingress, 1)),
@@ -469,8 +448,7 @@ impl ShardLoop {
                 waits.push((ingress, limiter.debit_n(ingress, n)));
             }
             let now_tick = self.now_tick();
-            for &slot in &admitted {
-                let ingress = self.slots[slot].as_ref().expect("admitted slot").ingress;
+            for &(slot, ingress) in &admitted {
                 let wait = waits
                     .iter()
                     .find(|(ip, _)| *ip == ingress)
@@ -494,7 +472,7 @@ impl ShardLoop {
                 }
             }
         } else {
-            self.ready.extend(admitted.iter().copied());
+            self.ready.extend(admitted.iter().map(|&(slot, _)| slot));
         }
         self.admitted = admitted;
         self.admitted.clear();
@@ -506,34 +484,11 @@ impl ShardLoop {
             Some(SocketAddr::V4(v4)) => *v4,
             // No route to this ingress — indistinguishable from loss.
             _ => {
-                if let Some(ring) = &self.flight {
-                    let now_us = ring.now_us();
-                    self.flight_write(
-                        ring,
-                        &FlightRecord {
-                            token: sub.token,
-                            ingress: sub.ingress,
-                            shard: self.shard_id as u16,
-                            attempts: 0,
-                            disposition: FlightDisposition::Unroutable,
-                            recorded_at_us: now_us,
-                            sent_at_us: 0,
-                            matched_at_us: 0,
-                            expired_at_us: now_us,
-                            rto_us: 0,
-                            wire_size: 0,
-                            qid: 0,
-                        },
-                    );
-                }
-                self.block.record_timeout();
-                self.telemetry.emit(
-                    0,
-                    TelemetryEvent::ProbeTimedOut {
-                        token: sub.token,
-                        attempts: 0,
-                    },
-                );
+                self.observer
+                    .observe(&ProbeRecord::Unroutable(ProbeFields::new(
+                        sub.token,
+                        sub.ingress,
+                    )));
                 let _ = sub.done.send(ProbeCompletion {
                     token: sub.token,
                     reply: TransportReply::TimedOut,
@@ -545,24 +500,17 @@ impl ShardLoop {
         self.generation += 1;
         self.slots[slot] = Some(Pending {
             generation: self.generation,
-            token: sub.token,
-            ingress: sub.ingress,
+            probe: ProbeFields::new(sub.token, sub.ingress),
             qname: sub.qname,
             qtype: sub.qtype,
             target,
             bytes: self.pool.take(),
             socket: usize::MAX,
-            id: 0,
-            attempt: 0,
-            sent_at: Instant::now(),
-            admitted_at: Instant::now(),
-            queue_us: u64::MAX,
-            last_rto_us: 0,
             state: PendingState::Scheduled,
             done: sub.done,
         });
         self.occupied += 1;
-        self.admitted.push(slot);
+        self.admitted.push((slot, sub.ingress));
     }
 
     /// Advances the wheel and acts on expired, still-valid events.
@@ -583,7 +531,7 @@ impl ShardLoop {
             self.timers.advance_filtered(now_tick, &mut expired, |ev| {
                 slots[ev.slot]
                     .as_ref()
-                    .is_some_and(|p| p.generation == ev.generation && p.attempt == ev.attempt)
+                    .is_some_and(|p| p.generation == ev.generation && p.probe.attempt == ev.attempt)
             });
         }
         self.phase_end(Phase::Timers, t_timers);
@@ -592,7 +540,7 @@ impl ShardLoop {
             let Some(p) = self.slots[ev.slot].as_ref() else {
                 continue;
             };
-            if p.generation != ev.generation || p.attempt != ev.attempt {
+            if p.generation != ev.generation || p.probe.attempt != ev.attempt {
                 continue; // lazily cancelled
             }
             match ev.kind {
@@ -609,38 +557,22 @@ impl ShardLoop {
                     progress = true;
                     // The attempt is dead: late replies to its id must
                     // land as strays, never match.
-                    self.correlation.remove(&(p.socket, p.id));
+                    self.correlation.remove(&(p.socket, p.probe.qid));
                     // A deadline expiry is an unambiguous loss signal
                     // (unlike replies after a retransmit): back the
                     // learned RTO off before deciding retry-vs-give-up.
                     if let Some(table) = &self.rto {
-                        table.observe_timeout(p.ingress);
+                        table.observe_timeout(p.probe.ingress);
                         self.block.record_rto_backoff();
                     }
                     if ev.attempt + 1 >= self.policy.attempts.max(1) {
-                        self.block.record_timeout();
-                        self.telemetry.emit(
-                            0,
-                            TelemetryEvent::ProbeTimedOut {
-                                token: p.token,
-                                attempts: ev.attempt + 1,
-                            },
-                        );
                         self.complete(ev.slot, TransportReply::TimedOut);
                     } else {
                         let delay = self.policy.delay_before(ev.attempt + 1, &mut self.rng);
                         let p = self.slots[ev.slot].as_mut().expect("checked above");
-                        p.attempt += 1;
+                        p.probe.attempt += 1;
                         p.state = PendingState::Scheduled;
-                        let token = p.token;
-                        self.block.record_retry();
-                        self.telemetry.emit(
-                            0,
-                            TelemetryEvent::ProbeRetried {
-                                token,
-                                attempt: ev.attempt + 1,
-                            },
-                        );
+                        self.observer.observe(&ProbeRecord::Retried(p.probe));
                         self.timers.schedule(
                             now_tick + Self::ticks(delay),
                             TimerEvent {
@@ -685,10 +617,11 @@ impl ShardLoop {
                 let id = fresh_id(&mut self.rng, &self.correlation, socket_idx);
                 let p = self.slots[slot].as_mut().expect("ready slot occupied");
                 p.socket = socket_idx;
-                p.id = id;
+                p.probe.qid = id;
                 if p.bytes.is_empty() {
                     Message::encode_query_into(&mut self.writer, id, &p.qname, p.qtype);
                     p.bytes.extend_from_slice(self.writer.as_slice());
+                    p.probe.wire_size = clamp_u16(p.bytes.len());
                 } else {
                     p.bytes[0..2].copy_from_slice(&id.to_be_bytes());
                 }
@@ -725,75 +658,61 @@ impl ShardLoop {
                 sent
             };
             let now_tick = self.now_tick();
-            match outcome {
-                Ok(sent) => {
-                    if sent > 0 {
-                        progress = true;
-                        self.block.record_send_batch(sent);
+            // `Err` means the kernel rejected the head datagram outright
+            // and nothing went out (a short count reports later ones).
+            let (sent, head_rejected) = match outcome {
+                Ok(sent) => (sent, false),
+                Err(_) => (0, true),
+            };
+            if sent > 0 {
+                progress = true;
+                self.block.record_send_batch(sent);
+            }
+            for (i, &slot) in batch.iter().enumerate().rev() {
+                if i < sent {
+                    let p = self.slots[slot].as_mut().expect("ready slot occupied");
+                    p.state = PendingState::Waiting;
+                    if p.probe.sent_at.is_none() {
+                        p.probe.queue_us = micros(p.probe.admitted_at.elapsed());
                     }
-                    for (i, &slot) in batch.iter().enumerate().rev() {
-                        if i < sent {
-                            let p = self.slots[slot].as_mut().expect("ready slot occupied");
-                            p.state = PendingState::Waiting;
-                            p.sent_at = Instant::now();
-                            if p.queue_us == u64::MAX {
-                                p.queue_us = p
-                                    .admitted_at
-                                    .elapsed()
-                                    .as_micros()
-                                    .min(u128::from(u64::MAX))
-                                    as u64;
-                            }
-                            self.block.record_sent();
-                            self.telemetry.emit(
-                                0,
-                                TelemetryEvent::ProbeSent {
-                                    token: p.token,
-                                    attempt: p.attempt,
-                                },
-                            );
-                            // Adaptive deadlines never exceed the static
-                            // schedule: `timeout_for` stays the upper
-                            // bound, so graces derived from
-                            // `RetryPolicy::worst_case` remain honest.
-                            let timeout = match &self.rto {
-                                Some(table) => {
-                                    self.block.record_adaptive_deadline();
-                                    table
-                                        .deadline_for(p.ingress, p.attempt)
-                                        .min(self.policy.timeout_for(p.attempt))
-                                }
-                                None => self.policy.timeout_for(p.attempt),
-                            };
-                            p.last_rto_us = timeout.as_micros().min(u128::from(u32::MAX)) as u32;
-                            let deadline = now_tick + Self::ticks(timeout).max(1);
-                            self.timers.schedule(
-                                deadline,
-                                TimerEvent {
-                                    slot,
-                                    generation: p.generation,
-                                    attempt: p.attempt,
-                                    kind: EventKind::Deadline,
-                                },
-                            );
-                        } else {
-                            // Kernel backpressure: retract and retry next
-                            // round (reverse order keeps FIFO).
-                            let p = self.slots[slot].as_ref().expect("ready slot occupied");
-                            self.correlation.remove(&(socket_idx, p.id));
-                            self.ready.push_front(slot);
+                    p.probe.sent_at = Some(Instant::now());
+                    self.observer.observe(&ProbeRecord::Sent(p.probe));
+                    // Adaptive deadlines never exceed the static
+                    // schedule: `timeout_for` stays the upper bound, so
+                    // graces derived from `RetryPolicy::worst_case`
+                    // remain honest.
+                    let attempt = p.probe.attempt;
+                    let timeout = match &self.rto {
+                        Some(table) => {
+                            self.block.record_adaptive_deadline();
+                            table
+                                .deadline_for(p.probe.ingress, attempt)
+                                .min(self.policy.timeout_for(attempt))
                         }
-                    }
-                }
-                Err(_) => {
-                    // A hard socket error: fail the whole batch rather
-                    // than spin on it.
-                    for &slot in batch {
-                        let p = self.slots[slot].as_ref().expect("ready slot occupied");
-                        self.correlation.remove(&(socket_idx, p.id));
-                        self.block.record_timeout();
-                        self.complete(slot, TransportReply::TimedOut);
-                    }
+                        None => self.policy.timeout_for(attempt),
+                    };
+                    p.probe.rto_us = timeout.as_micros().min(u128::from(u32::MAX)) as u32;
+                    self.timers.schedule(
+                        now_tick + Self::ticks(timeout).max(1),
+                        TimerEvent {
+                            slot,
+                            generation: p.generation,
+                            attempt,
+                            kind: EventKind::Deadline,
+                        },
+                    );
+                } else if i == 0 && head_rejected {
+                    // A hard error on this one datagram (e.g. an
+                    // unsendable target): fail its probe alone.
+                    progress = true;
+                    self.complete(slot, TransportReply::TimedOut);
+                } else {
+                    // Kernel backpressure, or queued behind a rejected
+                    // head: un-arm and retry next round (reverse order
+                    // keeps FIFO).
+                    let p = self.slots[slot].as_ref().expect("ready slot occupied");
+                    self.correlation.remove(&(socket_idx, p.probe.qid));
+                    self.ready.push_front(slot);
                 }
             }
         }
@@ -851,31 +770,7 @@ impl ShardLoop {
                 }
             }
             // Nothing reaches the wire; the deadline timer will fire.
-            // The flight ring keeps the engine-side wire observation —
-            // this query died *outbound*, so the cache behind the target
-            // stayed cold. Forensics joins it back by token.
-            Verdict::Drop(_) => {
-                if let Some(ring) = &self.flight {
-                    let now_us = ring.now_us();
-                    self.flight_write(
-                        ring,
-                        &FlightRecord {
-                            token: p.token,
-                            ingress: p.ingress,
-                            shard: self.shard_id as u16,
-                            attempts: attempts_made(p.attempt),
-                            disposition: FlightDisposition::QueryDropped,
-                            recorded_at_us: now_us,
-                            sent_at_us: now_us,
-                            matched_at_us: 0,
-                            expired_at_us: 0,
-                            rto_us: 0,
-                            wire_size: p.bytes.len().min(usize::from(u16::MAX)) as u16,
-                            qid: p.id,
-                        },
-                    );
-                }
-            }
+            Verdict::Drop(_) => self.observer.observe(&ProbeRecord::QueryDropped(p.probe)),
             Verdict::Deliver(copies) => {
                 for copy in copies {
                     let len = copy.truncate_to.unwrap_or(p.bytes.len()).min(p.bytes.len());
@@ -908,39 +803,21 @@ impl ShardLoop {
                 .injector
                 .decide(Direction::ServerToClient, now, bytes.len())
             {
-                // The reply existed and died *inbound*: the query did
-                // reach the serving chain (the cache is warm). Joined
-                // back to its probe by the correlation entry, which is
-                // still live — the deadline hasn't retired it yet.
+                // Joined back to its probe by the correlation entry,
+                // which is still live — the deadline hasn't retired it.
                 Verdict::Drop(_) => {
-                    if let Some(ring) = &self.flight {
-                        let peeked = MessagePeek::parse(bytes).ok();
-                        let qid = peeked.as_ref().map(MessagePeek::id).unwrap_or(0);
-                        let (token, ingress, attempts) = peeked
-                            .and_then(|pk| self.correlation.get(&(socket_idx, pk.id())).copied())
-                            .and_then(|slot| self.slots[slot].as_ref())
-                            .map(|p| (p.token, p.ingress, attempts_made(p.attempt)))
-                            .unwrap_or((FlightRecord::NO_TOKEN, *from.ip(), 0));
-                        let now_us = ring.now_us();
-                        let rec = FlightRecord {
-                            token,
-                            ingress,
-                            shard: self.shard_id as u16,
-                            attempts,
-                            disposition: FlightDisposition::ReplyDropped,
-                            recorded_at_us: now_us,
-                            sent_at_us: 0,
-                            matched_at_us: 0,
-                            expired_at_us: 0,
-                            rto_us: 0,
-                            wire_size: bytes.len().min(usize::from(u16::MAX)) as u16,
-                            qid,
-                        };
-                        if ring.record(&rec) {
-                            self.block.record_flight_shed();
-                        }
-                        self.block.record_flight_record();
-                    }
+                    let qid = MessagePeek::parse(bytes).ok().map(|pk| pk.id());
+                    let probe = qid
+                        .and_then(|id| self.correlation.get(&(socket_idx, id)))
+                        .and_then(|&slot| self.slots[slot].as_ref())
+                        .map(|p| p.probe);
+                    let reply = Datagram {
+                        from: *from.ip(),
+                        wire_size: bytes.len(),
+                        qid: qid.unwrap_or(0),
+                    };
+                    self.observer
+                        .observe(&ProbeRecord::ReplyDropped(probe, reply));
                 }
                 Verdict::Refuse => {}
                 Verdict::Deliver(copies) => {
@@ -995,207 +872,81 @@ impl ShardLoop {
         let parsed = MessagePeek::parse(bytes);
         self.phase_end(Phase::Decode, t_decode);
         let Ok(peek) = parsed else {
-            self.block.record_decode_error();
+            self.observer.observe(&ProbeRecord::Undecodable);
             return;
         };
         if !peek.is_response() {
             return;
         }
         let t_correlate = self.phase_begin(Phase::Correlate);
-        let Some(&slot) = self.correlation.get(&(socket_idx, peek.id())) else {
+        let correlated = match self.correlation.get(&(socket_idx, peek.id())) {
             // Wrong id, or a duplicate/late reply after the deadline
             // already retired the attempt — including a reply that
             // somehow landed on a socket whose shard never sent the
             // probe (correlation is strictly shard-local).
-            if let Some(ring) = &self.flight {
-                let now_us = ring.now_us();
-                self.flight_write(
-                    ring,
-                    &FlightRecord {
-                        token: FlightRecord::NO_TOKEN,
-                        ingress: *from.ip(),
-                        shard: self.shard_id as u16,
-                        attempts: 0,
-                        disposition: FlightDisposition::StrayReply,
-                        recorded_at_us: now_us,
-                        sent_at_us: 0,
-                        matched_at_us: 0,
-                        expired_at_us: 0,
-                        rto_us: 0,
-                        wire_size: bytes.len().min(usize::from(u16::MAX)) as u16,
-                        qid: peek.id(),
-                    },
-                );
+            None => Err(ProbeRecord::Stray(Datagram {
+                from: *from.ip(),
+                wire_size: bytes.len(),
+                qid: peek.id(),
+            })),
+            Some(&slot) => {
+                let p = self.slots[slot].as_ref().expect("correlated slot occupied");
+                if from != p.target {
+                    // Right id, wrong source: off-path spoofing. Keep
+                    // waiting for the genuine answer.
+                    Err(ProbeRecord::Spoofed)
+                } else {
+                    match peek.question_matches(&p.qname, p.qtype) {
+                        Ok(true) => Ok((slot, p.probe)),
+                        // Id collision: someone else's answer hashed
+                        // onto our id.
+                        Ok(false) => Err(ProbeRecord::QnameMismatch),
+                        Err(_) => Err(ProbeRecord::Undecodable),
+                    }
+                }
             }
-            self.block.record_stray_reply();
-            self.telemetry.emit(
-                0,
-                TelemetryEvent::ReplyDropped {
-                    reason: DropReason::Stray,
-                },
-            );
-            self.phase_end(Phase::Correlate, t_correlate);
-            return;
         };
-        let p = self.slots[slot].as_ref().expect("correlated slot occupied");
-        if from != p.target {
-            // Right id, wrong source: off-path spoofing. Keep waiting for
-            // the genuine answer.
-            self.block.record_spoofed_reply();
-            self.telemetry.emit(
-                0,
-                TelemetryEvent::ReplyDropped {
-                    reason: DropReason::Spoofed,
-                },
-            );
-            self.phase_end(Phase::Correlate, t_correlate);
-            return;
-        }
-        match peek.question_matches(&p.qname, p.qtype) {
-            Ok(true) => {}
-            Ok(false) => {
-                // Id collision: someone else's answer hashed onto our id.
-                self.block.record_qname_mismatch();
-                self.telemetry.emit(
-                    0,
-                    TelemetryEvent::ReplyDropped {
-                        reason: DropReason::Duplicate,
-                    },
-                );
-                self.phase_end(Phase::Correlate, t_correlate);
-                return;
-            }
-            Err(_) => {
-                self.block.record_decode_error();
-                self.phase_end(Phase::Correlate, t_correlate);
-                return;
-            }
-        }
         self.phase_end(Phase::Correlate, t_correlate);
-        let rtt = p.sent_at.elapsed();
-        let rtt_us = rtt.as_micros().min(u128::from(u64::MAX)) as u64;
-        // A reply arriving after a retransmit can belong to *either*
-        // attempt; its last-send RTT is untrustworthy for timing
-        // analysis, so both the digest and the event carry the flag.
-        let retransmit_ambiguous = p.attempt > 0;
-        self.block.record_received(rtt);
+        let (slot, probe) = match correlated {
+            Ok(matched) => matched,
+            Err(record) => return self.observer.observe(&record),
+        };
+        let rtt = probe.sent_at.map_or(Duration::ZERO, |at| at.elapsed());
         // Karn's rule at the one place attempt counts are known: only
         // first-attempt replies feed the estimator a sample; ambiguous
         // deliveries just clear its backoff.
         if let Some(table) = &self.rto {
-            if retransmit_ambiguous {
-                table.observe_delivery_ambiguous(p.ingress);
+            if probe.attempt > 0 {
+                table.observe_delivery_ambiguous(probe.ingress);
             } else {
-                table.observe_rtt(p.ingress, rtt_us);
+                table.observe_rtt(probe.ingress, micros(rtt));
             }
         }
-        if let Some(insight) = &self.insight {
-            insight
-                .digests()
-                .record(p.ingress, rtt_us, retransmit_ambiguous);
-        }
-        self.telemetry.emit(
-            0,
-            TelemetryEvent::ProbeMatched {
-                token: p.token,
-                attempt: p.attempt,
-                rtt_us,
-                retransmit_ambiguous,
-            },
-        );
         self.complete(
             slot,
             TransportReply::Answered {
-                latency: Some(SimDuration::from_micros(rtt.as_micros() as u64)),
+                latency: Some(SimDuration::from_micros(micros(rtt))),
                 rcode: peek.flags().rcode,
             },
         );
     }
 
-    /// Retires a slot: frees the correlation entry, recycles the buffer,
-    /// delivers the completion. Timers die by lazy cancellation.
+    /// Retires a slot: frees the correlation entry, reports the
+    /// completion to the observer, recycles the buffer, delivers the
+    /// completion. Timers die by lazy cancellation.
     fn complete(&mut self, slot: usize, reply: TransportReply) {
         let p = self.slots[slot].take().expect("completing occupied slot");
-        self.correlation.remove(&(p.socket, p.id));
-        if let Some(ring) = self.flight.as_ref().map(Arc::clone) {
-            let now_us = ring.now_us();
-            let disposition = match &reply {
-                TransportReply::Answered { rcode, .. } => {
-                    if *rcode == cde_dns::Rcode::Refused {
-                        FlightDisposition::Refused
-                    } else {
-                        FlightDisposition::Answered
-                    }
-                }
-                TransportReply::TimedOut => FlightDisposition::TimedOut,
-            };
-            let ever_sent = p.queue_us != u64::MAX;
-            self.flight_write(
-                &ring,
-                &FlightRecord {
-                    token: p.token,
-                    ingress: p.ingress,
-                    shard: self.shard_id as u16,
-                    attempts: if ever_sent {
-                        attempts_made(p.attempt)
-                    } else {
-                        0
-                    },
-                    disposition,
-                    recorded_at_us: now_us,
-                    sent_at_us: if ever_sent {
-                        ring.instant_us(p.sent_at)
-                    } else {
-                        0
-                    },
-                    matched_at_us: if disposition == FlightDisposition::TimedOut {
-                        0
-                    } else {
-                        now_us
-                    },
-                    expired_at_us: if disposition == FlightDisposition::TimedOut {
-                        now_us
-                    } else {
-                        0
-                    },
-                    rto_us: p.last_rto_us,
-                    wire_size: p.bytes.len().min(usize::from(u16::MAX)) as u16,
-                    qid: p.id,
-                },
-            );
-        }
+        self.correlation.remove(&(p.socket, p.probe.qid));
+        self.observer.observe(&ProbeRecord::Completed {
+            probe: p.probe,
+            reply: &reply,
+        });
         self.pool.give(p.bytes);
         self.occupied -= 1;
         self.free_slots.push(slot);
         self.block.set_in_flight(self.occupied as u64);
-        if let Some(reservoir) = &self.exemplars {
-            let rtt_us = match &reply {
-                TransportReply::Answered {
-                    latency: Some(l), ..
-                } => l.as_micros(),
-                _ => 0,
-            };
-            reservoir.record(ProbeExemplar {
-                token: p.token,
-                shard: self.shard_id,
-                ingress: p.ingress,
-                attempts: p.attempt + 1,
-                rtt_us,
-                queue_us: if p.queue_us == u64::MAX {
-                    0
-                } else {
-                    p.queue_us
-                },
-                lifetime_us: p
-                    .admitted_at
-                    .elapsed()
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64,
-                answered: matches!(reply, TransportReply::Answered { .. }),
-            });
-        }
         let _ = p.done.send(ProbeCompletion {
-            token: p.token,
+            token: p.probe.token,
             reply,
         });
     }

@@ -8,15 +8,15 @@
 //! touching the algorithm code.
 
 use crate::metrics::EngineMetrics;
+use crate::observe::{ProbeFields, ProbeObserver, ProbeRecord};
 use crate::transport::{Transport, TransportReply};
 use cde_core::AccessProvider;
 use cde_dns::{Name, RecordType};
 use cde_netsim::SimTime;
-use cde_platform::{NameserverNet, ResolutionPlatform, ResolveResult};
+use cde_platform::{NameserverNet, ResolutionPlatform};
 use cde_probers::{DirectProber, ProbeReply};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// [`Transport`] over an in-process simulated platform.
 #[derive(Debug)]
@@ -25,6 +25,8 @@ pub struct SimTransport {
     platform: ResolutionPlatform,
     net: NameserverNet,
     metrics: Arc<EngineMetrics>,
+    /// Counters only: the simulated path emits no probe events.
+    observer: ProbeObserver,
 }
 
 impl SimTransport {
@@ -34,11 +36,16 @@ impl SimTransport {
         net: NameserverNet,
         prober: DirectProber,
     ) -> SimTransport {
+        let metrics = Arc::new(EngineMetrics::new());
         SimTransport {
             prober,
             platform,
             net,
-            metrics: Arc::new(EngineMetrics::new()),
+            observer: ProbeObserver::counters_and_events(
+                metrics.shard(0),
+                cde_telemetry::TelemetryHub::disabled(),
+            ),
+            metrics,
         }
     }
 
@@ -66,8 +73,9 @@ impl Transport for SimTransport {
         qtype: RecordType,
         now: SimTime,
     ) -> TransportReply {
-        self.metrics.record_sent();
-        match self.prober.probe(
+        let probe = ProbeFields::sent_once(0, ingress);
+        self.observer.observe(&ProbeRecord::Sent(probe));
+        let reply = match self.prober.probe(
             &mut self.platform,
             ingress,
             qname,
@@ -77,19 +85,17 @@ impl Transport for SimTransport {
         ) {
             ProbeReply::Answered {
                 result, latency, ..
-            } => {
-                self.metrics
-                    .record_received(Duration::from_micros(latency.as_micros()));
-                TransportReply::Answered {
-                    latency: Some(latency),
-                    rcode: result_rcode(&result),
-                }
-            }
-            ProbeReply::Timeout { .. } => {
-                self.metrics.record_timeout();
-                TransportReply::TimedOut
-            }
-        }
+            } => TransportReply::Answered {
+                latency: Some(latency),
+                rcode: result.rcode(),
+            },
+            ProbeReply::Timeout { .. } => TransportReply::TimedOut,
+        };
+        self.observer.observe(&ProbeRecord::Completed {
+            probe,
+            reply: &reply,
+        });
+        reply
     }
 
     fn net(&self) -> &NameserverNet {
@@ -103,10 +109,6 @@ impl Transport for SimTransport {
     fn metrics(&self) -> Arc<EngineMetrics> {
         Arc::clone(&self.metrics)
     }
-}
-
-fn result_rcode(result: &ResolveResult) -> cde_dns::Rcode {
-    result.rcode()
 }
 
 impl AccessProvider for SimTransport {

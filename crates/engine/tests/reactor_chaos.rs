@@ -12,14 +12,16 @@ use cde_core::{enumerate_adaptive, AccessProvider, CdeInfra, SurveyOptions};
 use cde_dns::{Message, Name, Rcode, RecordType};
 use cde_engine::scheduler::{run_campaign_pipelined, Probe};
 use cde_engine::{
-    LiveTestbed, MetricsSnapshot, Reactor, ReactorConfig, ResolverConfig, RetryPolicy, Transport,
-    TransportReply,
+    FlightDisposition, FlightOptions, LiveTestbed, MetricsSnapshot, PulseOptions, Reactor,
+    ReactorConfig, ResolverConfig, RetryPolicy, Transport, TransportReply,
 };
 use cde_faults::{
-    DelayFault, DuplicateFault, FaultPlan, RateLimitAction, RateLimitFault, TruncateFault,
+    DelayFault, DuplicateFault, FaultPlan, LossFault, RateLimitAction, RateLimitFault,
+    TruncateFault,
 };
 use cde_netsim::{seed_from_env, SeedGuard, SimTime};
 use cde_platform::{NameserverNet, PlatformBuilder, ResolutionPlatform, SelectorKind};
+use cde_telemetry::{DropReason, EventKind, TelemetryHub};
 use crossbeam::channel::unbounded;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
@@ -319,4 +321,103 @@ fn rate_limit_refusals_come_back_as_refused_answers() {
     assert_eq!(refused, 4, "four of six probes must overflow the bucket");
     let stats = reactor.fault_stats().expect("fault layer enabled");
     assert_eq!(stats.refused(), 4);
+}
+
+#[test]
+fn every_view_counts_the_same_probes_under_bursty_chaos() {
+    let seed = seed_from_env("CDE_CHAOS_SEED", 9191);
+    let _guard = SeedGuard::new("CDE_CHAOS_SEED", seed);
+    let server = EchoServer::launch();
+    // Bursty loss both ways, plus spikes past the deadline so late
+    // replies land as strays.
+    let plan = FaultPlan {
+        reply_loss: LossFault::Bursty {
+            mean_loss: 0.2,
+            mean_burst: 3.0,
+        },
+        delay: Some(DelayFault {
+            jitter: Duration::ZERO,
+            spike_rate: 0.1,
+            spike: Duration::from_millis(80),
+        }),
+        ..FaultPlan::bursty(seed, 0.2, 3.0)
+    };
+    let hub = TelemetryHub::new(64 * 1024);
+    let probes = 200u64;
+    let mut reactor = launch_reactor(
+        server.addr,
+        ReactorConfig {
+            faults: Some(plan),
+            telemetry: Some(Arc::clone(&hub)),
+            // Large enough that no record is shed.
+            flight: Some(FlightOptions { per_shard: 1 << 14 }),
+            pulse: Some(PulseOptions { exemplars: 4 }),
+            ..ReactorConfig::with_policy(policy(4, 60), seed)
+        },
+    );
+    let report = run_campaign_pipelined(&reactor, campaign_probes(probes as usize), 32);
+    assert!(
+        report.fully_accounted(probes as usize),
+        "probe accounting leaked"
+    );
+    // Stop the loop so nothing lands between the reads below.
+    assert!(reactor.shutdown_graceful(Duration::from_secs(5)));
+
+    let snap = reactor.metrics().snapshot();
+    let stats = reactor.fault_stats().expect("fault layer enabled");
+    assert!(
+        stats.query_drops() > 0 && stats.reply_drops() > 0 && snap.stray_replies > 0,
+        "chaos run was accidentally clean (seed {seed})"
+    );
+
+    let (mut sent, mut retried, mut matched, mut timed_out, mut strays) = (0, 0, 0, 0, 0);
+    for event in hub.drain() {
+        match event.kind {
+            EventKind::ProbeSent { .. } => sent += 1,
+            EventKind::ProbeRetried { .. } => retried += 1,
+            EventKind::ProbeMatched { .. } => matched += 1,
+            EventKind::ProbeTimedOut { .. } => timed_out += 1,
+            EventKind::ReplyDropped {
+                reason: DropReason::Stray,
+            } => strays += 1,
+            EventKind::EventsDropped { count } => panic!("{count} events shed"),
+            _ => {}
+        }
+    }
+    let flight = reactor.flight().expect("flight configured");
+    assert_eq!(flight.shed(), 0, "flight ring too small for the run");
+    let records = flight.snapshot();
+    let count = |d: FlightDisposition| records.iter().filter(|r| r.disposition == d).count() as u64;
+    let terminal = count(FlightDisposition::Answered)
+        + count(FlightDisposition::Refused)
+        + count(FlightDisposition::TimedOut);
+    let exemplars = reactor.exemplars().expect("pulse configured");
+    let ctx = format!("seed {seed}, metrics {snap:?}");
+
+    assert_eq!(sent, snap.sent, "probe_sent vs sent: {ctx}");
+    assert_eq!(retried, snap.retries, "probe_retried vs retries: {ctx}");
+    assert_eq!(matched, snap.received, "probe_matched vs received: {ctx}");
+    assert_eq!(
+        timed_out, snap.timeouts,
+        "probe_timed_out vs timeouts: {ctx}"
+    );
+    assert_eq!(strays, snap.stray_replies, "stray events vs strays: {ctx}");
+    assert_eq!(
+        count(FlightDisposition::StrayReply),
+        snap.stray_replies,
+        "{ctx}"
+    );
+    assert_eq!(
+        count(FlightDisposition::QueryDropped),
+        stats.query_drops(),
+        "{ctx}"
+    );
+    assert_eq!(
+        count(FlightDisposition::ReplyDropped),
+        stats.reply_drops(),
+        "{ctx}"
+    );
+    assert_eq!(terminal, probes, "terminal flight records: {ctx}");
+    assert_eq!(exemplars.observed(), probes, "exemplars offered: {ctx}");
+    assert_eq!(snap.received + snap.timeouts, probes, "{ctx}");
 }

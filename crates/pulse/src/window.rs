@@ -2,17 +2,13 @@
 //! snapshots, and the window-delta arithmetic that turns them into
 //! rates.
 //!
-//! The ring is a seqlock per slot: the writer claims a monotonically
-//! increasing slot index, marks the slot's sequence odd (derived from
-//! the claim, so it is unique to this write), stores every field, then
-//! marks it even. A reader loads the sequence, copies the fields, and
-//! re-loads: any concurrent write — including a wrap by a later claim —
-//! changes the sequence and the reader retries or skips the slot. No
-//! field can tear (each is its own `AtomicU64`); the seqlock only
-//! guards *cross-field* consistency, so a rate can never mix the `sent`
-//! of one sample with the `received` of another.
+//! The ring is a [`SeqlockRing`] (shared with the engine's flight
+//! recorder): any number of writers, readers that never block them, and
+//! a per-slot sequence that guards *cross-field* consistency, so a rate
+//! can never mix the `sent` of one sample with the `received` of
+//! another.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use cde_telemetry::SeqlockRing;
 
 /// One cumulative counter snapshot, timestamped against the sampler's
 /// epoch. All counters are totals-so-far (monotone non-decreasing
@@ -71,106 +67,50 @@ impl CounterSample {
     }
 }
 
-struct Slot {
-    /// `2 * claim + 1` while the claiming writer stores, `2 * claim + 2`
-    /// once stable, 0 when never written. Claims are globally unique, so
-    /// a reader comparing two loads detects *any* intervening writer.
-    seq: AtomicU64,
-    fields: [AtomicU64; FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
 /// Lock-free multi-producer, multi-reader ring of [`CounterSample`]s.
 ///
 /// Writers never block (a wrap overwrites the oldest sample); readers
 /// never block writers. Capacity is fixed at construction.
+#[derive(Debug)]
 pub struct SampleRing {
-    slots: Box<[Slot]>,
-    /// Next claim index; `claim % capacity` is the slot.
-    head: AtomicU64,
-}
-
-impl std::fmt::Debug for SampleRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SampleRing")
-            .field("capacity", &self.slots.len())
-            .field("pushed", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
+    ring: SeqlockRing<FIELDS>,
 }
 
 impl SampleRing {
     /// A ring holding the latest `capacity` samples (min 2).
     pub fn with_capacity(capacity: usize) -> SampleRing {
         SampleRing {
-            slots: (0..capacity.max(2)).map(|_| Slot::empty()).collect(),
-            head: AtomicU64::new(0),
+            ring: SeqlockRing::with_capacity(capacity.max(2)),
         }
     }
 
     /// Total samples ever pushed.
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::SeqCst)
+        self.ring.pushed()
     }
 
     /// Pushes one sample, overwriting the oldest on wrap.
     pub fn push(&self, sample: CounterSample) {
-        let claim = self.head.fetch_add(1, Ordering::SeqCst);
-        let slot = &self.slots[(claim % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * claim + 1, Ordering::SeqCst);
-        for (dst, src) in slot.fields.iter().zip(sample.to_array()) {
-            dst.store(src, Ordering::SeqCst);
-        }
-        slot.seq.store(2 * claim + 2, Ordering::SeqCst);
-    }
-
-    fn read_slot(&self, claim: u64) -> Option<CounterSample> {
-        let slot = &self.slots[(claim % self.slots.len() as u64) as usize];
-        let want = 2 * claim + 2;
-        for _ in 0..4 {
-            let before = slot.seq.load(Ordering::SeqCst);
-            if before != want {
-                // Not yet written, or already overwritten by a wrap.
-                return None;
-            }
-            let mut fields = [0u64; FIELDS];
-            for (dst, src) in fields.iter_mut().zip(&slot.fields) {
-                *dst = src.load(Ordering::SeqCst);
-            }
-            if slot.seq.load(Ordering::SeqCst) == before {
-                return Some(CounterSample::from_array(fields));
-            }
-        }
-        None
+        self.ring.push(sample.to_array());
     }
 
     /// The most recent consistent sample, if any.
     pub fn latest(&self) -> Option<CounterSample> {
-        let head = self.head.load(Ordering::SeqCst);
+        let head = self.ring.pushed();
         // Walk back a few claims: the newest may still be mid-store.
-        (0..8.min(head)).find_map(|back| self.read_slot(head - 1 - back))
+        (0..8.min(head))
+            .find_map(|back| self.ring.read(head - 1 - back))
+            .map(CounterSample::from_array)
     }
 
     /// Every retained sample in chronological order, skipping slots a
     /// concurrent writer is touching.
     pub fn samples(&self) -> Vec<CounterSample> {
-        let head = self.head.load(Ordering::SeqCst);
-        let start = head.saturating_sub(self.slots.len() as u64);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for claim in start..head {
-            if let Some(sample) = self.read_slot(claim) {
-                out.push(sample);
-            }
-        }
-        out
+        self.ring
+            .snapshot()
+            .into_iter()
+            .map(CounterSample::from_array)
+            .collect()
     }
 }
 

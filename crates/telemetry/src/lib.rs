@@ -17,6 +17,8 @@
 //! * **Metrics** ([`registry`], [`prometheus`]) — a pull-model
 //!   [`MetricsRegistry`] that components register [`Collector`]s into,
 //!   exported as the Prometheus text format or a JSON snapshot.
+//! * **Records** ([`seqlock`]) — [`SeqlockRing`], the tear-free ring
+//!   under both the pulse windows and the engine's flight recorder.
 //!
 //! Binaries install a process-wide hub via [`install_global`]; library
 //! code emits through [`global`], which is a no-op until then.
@@ -31,6 +33,7 @@ pub mod prometheus;
 pub mod registry;
 pub mod report;
 pub mod ring;
+pub mod seqlock;
 
 pub use event::{DropReason, Event, EventKind};
 pub use hub::{global, install_global, CampaignSpan, TelemetryHub, DEFAULT_RING_CAPACITY};
@@ -38,3 +41,4 @@ pub use json::strip_at_us;
 pub use registry::{Collector, Metric, MetricValue, MetricsRegistry};
 pub use report::ProgressReporter;
 pub use ring::EventRing;
+pub use seqlock::SeqlockRing;
